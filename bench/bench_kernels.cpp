@@ -105,12 +105,15 @@ void micro_benchmarks(JsonWriter& jw) {
     const int oh = f.spec.out_h(16), ow = f.spec.out_w(16);
     QTensor out_s({1, c, oh, ow}, 8, false), out_v = out_s;
     QView in = QView::of(f.input), vs = QView::of(out_s), vv = QView::of(out_v);
-    ScratchArena scratch(kernels::simd::simd_conv_scratch_bytes(f.spec));
-    const double scalar_us = time_us(
-        iters, [&] { kernels::baseline_conv2d(in, f.qweights, f.spec, f.rq, vs, nullptr); });
+    const std::size_t in_n = f.input.size(), out_n = out_s.size();
+    ScratchArena scratch(kernels::simd::simd_conv_scratch_bytes(f.spec, 1));
+    const double scalar_us = time_us(iters, [&] {
+      kernels::baseline_conv2d(in, in_n, 1, f.qweights, f.spec, f.rq, vs, out_n, nullptr);
+    });
     const double simd_us = time_us(iters, [&] {
       scratch.reset();
-      kernels::simd::simd_conv2d(in, f.qweights, f.spec, f.rq, vv, scratch, nullptr);
+      kernels::simd::simd_conv2d(in, in_n, 1, f.qweights, f.spec, f.rq, vv, out_n, scratch,
+                                 nullptr);
     });
     check_identical(out_s, out_v, "conv");
     add_pair(jw, "conv_c" + std::to_string(c), scalar_us, simd_us);
@@ -127,13 +130,13 @@ void micro_benchmarks(JsonWriter& jw) {
     kernels::Requant rq = kernels::Requant::uniform(fout, 1e-4f, {}, 0.01f, 8, false, true);
     QTensor out_s({1, fout}, 8, false), out_v = out_s;
     QView in = QView::of(input), vs = QView::of(out_s), vv = QView::of(out_v);
-    ScratchArena scratch(kernels::simd::simd_linear_scratch_bytes(fin));
+    ScratchArena scratch(kernels::simd::simd_linear_scratch_bytes(fin, 1));
     const int lin_iters = smoke_scaled(300, 20);
-    const double scalar_us =
-        time_us(lin_iters, [&] { kernels::baseline_linear(in, w, rq, vs, nullptr); });
+    const double scalar_us = time_us(
+        lin_iters, [&] { kernels::baseline_linear(in, fin, 1, w, rq, vs, fout, nullptr); });
     const double simd_us = time_us(lin_iters, [&] {
       scratch.reset();
-      kernels::simd::simd_linear(in, w, rq, vv, scratch, nullptr);
+      kernels::simd::simd_linear(in, fin, 1, w, rq, vv, fout, scratch, nullptr);
     });
     check_identical(out_s, out_v, "linear");
     add_pair(jw, "linear_f" + std::to_string(fin), scalar_us, simd_us);
@@ -145,18 +148,21 @@ void micro_benchmarks(JsonWriter& jw) {
     const int oh = f.spec.out_h(16), ow = f.spec.out_w(16);
     QTensor out_s({1, 64, oh, ow}, 8, false), out_v = out_s;
     QView in = QView::of(f.input), vs = QView::of(out_s), vv = QView::of(out_v);
-    ScratchArena ss(kernels::bitserial_host_scratch_bytes(64, f.lut.pool_size, f.lut.group_size));
-    ScratchArena sv(
-        kernels::simd::simd_bitserial_scratch_bytes(64, f.lut.pool_size, f.lut.group_size));
+    const std::size_t in_n = f.input.size(), out_n = out_s.size();
+    ScratchArena ss(
+        kernels::bitserial_host_scratch_bytes(64, f.lut.pool_size, f.lut.group_size, 1));
+    ScratchArena sv(kernels::simd::simd_bitserial_conv_scratch_bytes(
+        f.spec, 16, 16, f.lut.pool_size, f.lut.group_size, 1));
     const auto variant = kernels::BitSerialVariant::kCached;
     const double scalar_us = time_us(iters, [&] {
       ss.reset();
-      kernels::bitserial_conv2d(in, f.indices, f.lut, f.spec, f.rq, variant, vs, ss, nullptr);
+      kernels::bitserial_conv2d(in, in_n, 1, f.indices, f.lut, f.spec, f.rq, variant, vs, out_n,
+                                ss, nullptr);
     });
     const double simd_us = time_us(iters, [&] {
       sv.reset();
-      kernels::simd::simd_bitserial_conv2d(in, f.indices, f.lut, f.spec, f.rq, variant, vv, sv,
-                                           nullptr);
+      kernels::simd::simd_bitserial_conv2d(in, in_n, 1, f.indices, f.lut, f.spec, f.rq, variant,
+                                           vv, out_n, sv, nullptr);
     });
     check_identical(out_s, out_v, "bitserial");
     add_pair(jw, "bitserial_c64_b" + std::to_string(act_bits), scalar_us, simd_us);

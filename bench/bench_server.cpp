@@ -1,7 +1,7 @@
 // Async inference-server benchmark: open-loop Poisson arrivals against the
 // InferenceServer.
 //
-// Five sections:
+// Four sections:
 //
 //  1. Offered load x batching deadline x worker count (two models,
 //     alternating requests):
@@ -35,20 +35,13 @@
 //     steady-state snapshot taken when arrivals end, so the final drain
 //     does not smear the percentiles.
 //
-//  3. Batched vs per-image dispatch: a closed-loop saturated flood (full
-//     max_batch batches) on one worker, run once with
-//     ServerOptions::batched_execution (one Executor::run_batch_view call
-//     per formed batch) and once with the per-request loop. Logits are
-//     bit-identical; the achieved/s ratio is the batched-execution payoff
-//     and lands in BENCH_server.json as dispatch_batched_speedup.
-//
-//  4. Autoscaler load step: a burst at ~2.5x one worker's capacity against
+//  3. Autoscaler load step: a burst at ~2.5x one worker's capacity against
 //     an autoscaling pool (min 1, max 4). The row shows the scale-up events
 //     climbing to a stable peak during the burst, and the pool shrinking
 //     back to min after it drains — grow/shrink counts equal means no
 //     oscillation.
 //
-//  5. Overload SLO attainment: the same open-loop overload run twice, once
+//  4. Overload SLO attainment: the same open-loop overload run twice, once
 //     with queue-only deadline shedding and once with execution-aware
 //     shedding (refuse-to-dispatch on the compiled plan's execution
 //     estimate + layer-boundary cancellation). Execution-aware shedding
@@ -248,7 +241,7 @@ struct SloResult {
   std::uint64_t completed = 0;
 };
 
-/// Section 5: overload SLO sweep under one shedding mode. Open-loop Poisson
+/// Section 4: overload SLO sweep under one shedding mode. Open-loop Poisson
 /// arrivals past capacity, every request carrying the same deadline. With
 /// queue-only shedding (execution_aware_deadlines=false) a request is purged
 /// only once its deadline has already passed in the queue — one that expires
@@ -558,63 +551,7 @@ int run_bench() {
   jw.add("skew_rr_hot_completed", rr.stats.models[0].admission.completed);
   jw.add("skew_wd_hot_completed", wd.stats.models[0].admission.completed);
 
-  // --- Section 3: batched vs per-image dispatch -----------------------------
-  // Closed-loop saturated flood on one worker, max_batch 8: the queue stays
-  // full so every batch forms at max_batch, isolating the dispatch style.
-  // batched_execution=true runs each formed batch as ONE run_batch_view
-  // call (stationary operands amortized); =false is the per-request loop.
-  // Logits are bit-identical either way; the speedup is the whole point of
-  // batched execution. Measured on a 2-bit pooled deployment — the paper's
-  // low-precision regime, where the batch-transposed unpack in the SIMD
-  // bit-serial cores amortizes the most per-image work.
-  {
-    Session resnet_a2 = Deployment::from(rg)
-                            .with_pool(co)
-                            .seed_batchnorm(16)
-                            .calibrate(*d.train, qo)
-                            .act_bits(2)
-                            .compile();
-    std::printf("\nbench_server: batched vs per-image dispatch (1 worker, "
-                "max_batch 8, act_bits 2, saturated)\n");
-    std::printf("%-12s %10s %6s %12s %12s\n", "dispatch", "achieved/s", "batch", "exec p50 us",
-                "e2e p50 us");
-    double ips[2] = {0.0, 0.0};
-    for (int mode = 0; mode < 2; ++mode) {
-      const bool batched = mode == 1;
-      runtime::ServerOptions bo;
-      bo.workers = 1;
-      bo.batched_execution = batched;
-      bo.batching.max_batch = 8;
-      bo.batching.max_delay = microseconds{1000};
-      bo.queue.capacity = 1024;
-      bo.queue.policy = runtime::QueuePolicy::kBlock;
-      bswp::Server server(bo);
-      server.add("m", resnet_a2);
-      for (int i = 0; i < 2 * bo.batching.max_batch; ++i) server.submit("m", images[0]);
-      server.drain();  // worker + executor warm
-      server.reset_stats();
-      const int kSat = smoke_scaled(240, 24);
-      const Clock::time_point b0 = Clock::now();
-      for (int i = 0; i < kSat; ++i) {
-        server.submit("m", images[static_cast<std::size_t>(i) % images.size()]);
-      }
-      server.drain();
-      ips[mode] = kSat / std::chrono::duration<double>(Clock::now() - b0).count();
-      const runtime::ServerStats s = server.stats();
-      std::printf("%-12s %10.0f %6.2f %12.0f %12.0f\n", batched ? "batched" : "per-image",
-                  ips[mode], s.mean_batch_size, s.exec_latency.p50_us, s.latency.p50_us);
-      const std::string prefix = batched ? "dispatch_batched_" : "dispatch_perimg_";
-      jw.add(prefix + "per_s", ips[mode]);
-      jw.add(prefix + "mean_batch", s.mean_batch_size);
-      jw.add(prefix + "exec_p50_us", s.exec_latency.p50_us);
-    }
-    if (ips[0] > 0.0) {
-      std::printf("batched dispatch speedup: %.2fx\n", ips[1] / ips[0]);
-      jw.add("dispatch_batched_speedup", ips[1] / ips[0]);
-    }
-  }
-
-  // --- Section 4: autoscaler load step --------------------------------------
+  // --- Section 3: autoscaler load step --------------------------------------
   std::printf("\n");
   const AutoscaleResult as = run_autoscaler_step(resnet, capacity_1w, images);
   jw.add("autoscale_peak_workers", as.settled.peak_workers);
@@ -622,7 +559,7 @@ int run_bench() {
   jw.add("autoscale_scale_downs", as.settled.scale_down_events);
   jw.add("autoscale_burst_p99_us", as.burst_p99_us);
 
-  // --- Section 5: overload SLO attainment -----------------------------------
+  // --- Section 4: overload SLO attainment -----------------------------------
   // 2x one worker's capacity, SLO at 3x the single-image execution time:
   // roughly half the offered load is doomed no matter what — the question is
   // whether the worker wastes time finishing it late (queue-only) or sheds

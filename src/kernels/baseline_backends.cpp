@@ -1,47 +1,40 @@
 // Registry adapters for the CMSIS-like int8 kernels (conv / linear / pooling
 // / residual add). All execute straight into the arena output view; none of
-// the host kernels needs scratch.
+// the host kernels needs scratch. Conv and linear run their batch-strided
+// cores; pooling and add have no cross-image work to share and loop per
+// image.
 #include "kernels/baseline_conv.h"
 #include "runtime/kernel_backend.h"
 
 namespace bswp::runtime {
 namespace {
 
-/// Per-image element stride of the plan's first input inside a batched arena.
-std::size_t input_stride(const ExecContext& ctx) {
-  return ctx.net.plans[static_cast<std::size_t>(ctx.plan.inputs[0])].out_elems();
-}
-
 class BaselineConvBackend : public KernelBackend {
  public:
   const char* name() const override { return "baseline/conv"; }
-  void execute(const ExecContext& ctx) const override {
-    kernels::baseline_conv2d(ctx.input(0), ctx.plan.qweights, ctx.plan.spec, ctx.plan.rq,
-                             *ctx.out, ctx.counter);
-  }
   void execute_batch(const ExecContext& ctx) const override {
-    kernels::baseline_conv2d_batch(ctx.input(0), input_stride(ctx), ctx.batch, ctx.plan.qweights,
-                                   ctx.plan.spec, ctx.plan.rq, *ctx.out, ctx.plan.out_elems(),
-                                   ctx.counter);
+    kernels::baseline_conv2d(ctx.input(0), ctx.input_stride(), ctx.batch, ctx.plan.qweights,
+                             ctx.plan.spec, ctx.plan.rq, *ctx.out, ctx.plan.out_elems(),
+                             ctx.counter);
   }
 };
 
 class BaselineLinearBackend : public KernelBackend {
  public:
   const char* name() const override { return "baseline/linear"; }
-  void execute(const ExecContext& ctx) const override {
-    kernels::baseline_linear(ctx.input(0), ctx.plan.qweights, ctx.plan.rq, *ctx.out, ctx.counter);
-  }
   void execute_batch(const ExecContext& ctx) const override {
-    kernels::baseline_linear_batch(ctx.input(0), input_stride(ctx), ctx.batch, ctx.plan.qweights,
-                                   ctx.plan.rq, *ctx.out, ctx.plan.out_elems(), ctx.counter);
+    kernels::baseline_linear(ctx.input(0), ctx.input_stride(), ctx.batch, ctx.plan.qweights,
+                             ctx.plan.rq, *ctx.out, ctx.plan.out_elems(), ctx.counter);
   }
 };
 
 class MaxPoolBackend : public KernelBackend {
  public:
   const char* name() const override { return "baseline/maxpool"; }
-  void execute(const ExecContext& ctx) const override {
+  void execute_batch(const ExecContext& ctx) const override { for_each_image(ctx, run_one); }
+
+ private:
+  static void run_one(const ExecContext& ctx) {
     kernels::maxpool_q(ctx.input(0), ctx.plan.pool_k, ctx.plan.pool_stride, *ctx.out,
                        ctx.counter);
   }
@@ -50,7 +43,10 @@ class MaxPoolBackend : public KernelBackend {
 class GlobalAvgPoolBackend : public KernelBackend {
  public:
   const char* name() const override { return "baseline/gap"; }
-  void execute(const ExecContext& ctx) const override {
+  void execute_batch(const ExecContext& ctx) const override { for_each_image(ctx, run_one); }
+
+ private:
+  static void run_one(const ExecContext& ctx) {
     kernels::global_avgpool_q(ctx.input(0), ctx.plan.rq, *ctx.out, ctx.counter);
   }
 };
@@ -58,7 +54,10 @@ class GlobalAvgPoolBackend : public KernelBackend {
 class AddBackend : public KernelBackend {
  public:
   const char* name() const override { return "baseline/add"; }
-  void execute(const ExecContext& ctx) const override {
+  void execute_batch(const ExecContext& ctx) const override { for_each_image(ctx, run_one); }
+
+ private:
+  static void run_one(const ExecContext& ctx) {
     kernels::add_q(ctx.input(0), ctx.input(1), ctx.plan.rq, *ctx.out, ctx.counter);
   }
 };

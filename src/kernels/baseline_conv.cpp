@@ -7,10 +7,12 @@ namespace bswp::kernels {
 using sim::Event;
 using sim::tally;
 
-void baseline_conv2d(const QView& in, const QTensor& weights, const nn::ConvSpec& spec,
-                     const Requant& rq, QView& out, sim::CostCounter* counter) {
+void baseline_conv2d(const QView& in, std::size_t in_stride, int batch, const QTensor& weights,
+                     const nn::ConvSpec& spec, const Requant& rq, QView& out,
+                     std::size_t out_stride, sim::CostCounter* counter) {
   check(in.rank == 4 && in.shape[0] == 1, "baseline_conv2d: input must be 1xCxHxW");
   check(in.dim(1) == spec.in_ch, "baseline_conv2d: channel mismatch");
+  check(batch >= 1, "baseline_conv2d: batch must be >= 1");
   const int h = in.dim(2), w = in.dim(3);
   const int oh = spec.out_h(h), ow = spec.out_w(w);
   const int cg = spec.in_ch / spec.groups;
@@ -26,115 +28,9 @@ void baseline_conv2d(const QView& in, const QTensor& weights, const nn::ConvSpec
 
   for (int oy = 0; oy < oh; ++oy) {
     for (int ox = 0; ox < ow; ++ox) {
+      uint64_t spatial_valid = 0;
       // Count the spatially valid kernel taps once per position (identical
-      // for every channel and group).
-      uint64_t spatial_valid = 0;
-      for (int ky = 0; ky < spec.kh; ++ky) {
-        const int iy = oy * spec.stride + ky - spec.pad;
-        if (iy < 0 || iy >= h) continue;
-        for (int kx = 0; kx < spec.kw; ++kx) {
-          const int ix = ox * spec.stride + kx - spec.pad;
-          if (ix >= 0 && ix < w) ++spatial_valid;
-        }
-      }
-      for (int g = 0; g < spec.groups; ++g) {
-        for (int oc = 0; oc < og; ++oc) {
-          const int o = g * og + oc;
-          int32_t acc = 0;
-          const int16_t* wrow = weights.data.data() + static_cast<std::size_t>(o) * wstride;
-          std::size_t widx = 0;
-          for (int c = 0; c < cg; ++c) {
-            const int in_c = g * cg + c;
-            for (int ky = 0; ky < spec.kh; ++ky) {
-              const int iy = oy * spec.stride + ky - spec.pad;
-              for (int kx = 0; kx < spec.kw; ++kx, ++widx) {
-                const int ix = ox * spec.stride + kx - spec.pad;
-                if (iy < 0 || iy >= h || ix < 0 || ix >= w) continue;
-                const int16_t a = in.data[(static_cast<std::size_t>(in_c) * h + iy) * w + ix];
-                acc += (static_cast<int32_t>(a) - in_zp) * wrow[widx];
-              }
-            }
-          }
-          out.data[(static_cast<std::size_t>(o) * oh + oy) * ow + ox] = rq.apply(acc, o);
-        }
-      }
-      if (counter != nullptr) {
-        // Valid taps per filter: each filter reads its own group's channels.
-        const uint64_t taps_per_filter = spatial_valid * static_cast<uint64_t>(cg);
-        // im2col copy: the full patch (all input channels) is staged once
-        // per output position, read from the activation map and written to
-        // the column buffer.
-        const uint64_t patch = spatial_valid * static_cast<uint64_t>(spec.in_ch);
-        counter->add(Event::kSramRead, patch);
-        counter->add(Event::kSramWrite, patch);
-        // MAC loop per filter: sequential weight stream from flash, column
-        // buffer reads from SRAM, one MAC per tap plus the q7
-        // sign-extension, pointer-update and loop-compare ALU work a
-        // Cortex-M3 (no DSP extension) pays per element.
-        const uint64_t work = taps_per_filter * static_cast<uint64_t>(spec.out_ch);
-        counter->add(Event::kFlashSeqByte, work);
-        counter->add(Event::kSramRead, work);
-        counter->add(Event::kMac, work);
-        counter->add(Event::kAlu, 3 * work);
-        counter->add(Event::kBranch, static_cast<uint64_t>(spec.out_ch));
-        counter->add(Event::kRequant, static_cast<uint64_t>(spec.out_ch));
-        counter->add(Event::kSramWrite, static_cast<uint64_t>(spec.out_ch));
-      }
-    }
-  }
-}
-
-void baseline_linear(const QView& in, const QTensor& weights, const Requant& rq, QView& out,
-                     sim::CostCounter* counter) {
-  check(in.rank == 2 && in.shape[0] == 1, "baseline_linear: input must be 1xF");
-  const int fin = in.dim(1), fout = weights.dim(0);
-  check(weights.dim(1) == fin, "baseline_linear: shape mismatch");
-  out.set_shape({1, fout});
-  out.bits = rq.out.bits;
-  out.is_signed = rq.out.is_signed;
-  out.scale = rq.out.scale;
-  out.zero_point = rq.out.zero_point;
-  const int32_t in_zp = in.zero_point;
-  for (int o = 0; o < fout; ++o) {
-    int32_t acc = 0;
-    const int16_t* wrow = weights.data.data() + static_cast<std::size_t>(o) * fin;
-    for (int i = 0; i < fin; ++i)
-      acc += (static_cast<int32_t>(in.data[static_cast<std::size_t>(i)]) - in_zp) * wrow[i];
-    out.data[static_cast<std::size_t>(o)] = rq.apply(acc, o);
-  }
-  if (counter != nullptr) {
-    const uint64_t taps = static_cast<uint64_t>(fin) * fout;
-    counter->add(Event::kFlashSeqByte, taps);
-    counter->add(Event::kSramRead, taps);
-    counter->add(Event::kMac, taps);
-    counter->add(Event::kAlu, 3 * taps);
-    counter->add(Event::kRequant, static_cast<uint64_t>(fout));
-    counter->add(Event::kSramWrite, static_cast<uint64_t>(fout));
-  }
-}
-
-void baseline_conv2d_batch(const QView& in, std::size_t in_stride, int batch,
-                           const QTensor& weights, const nn::ConvSpec& spec, const Requant& rq,
-                           QView& out, std::size_t out_stride, sim::CostCounter* counter) {
-  check(in.rank == 4 && in.shape[0] == 1, "baseline_conv2d_batch: input must be 1xCxHxW");
-  check(in.dim(1) == spec.in_ch, "baseline_conv2d_batch: channel mismatch");
-  check(batch >= 1, "baseline_conv2d_batch: batch must be >= 1");
-  const int h = in.dim(2), w = in.dim(3);
-  const int oh = spec.out_h(h), ow = spec.out_w(w);
-  const int cg = spec.in_ch / spec.groups;
-  const int og = spec.out_ch / spec.groups;
-  const std::size_t wstride = static_cast<std::size_t>(cg) * spec.kh * spec.kw;
-
-  out.set_shape({1, spec.out_ch, oh, ow});
-  out.bits = rq.out.bits;
-  out.is_signed = rq.out.is_signed;
-  out.scale = rq.out.scale;
-  out.zero_point = rq.out.zero_point;
-  const int32_t in_zp = in.zero_point;
-
-  for (int oy = 0; oy < oh; ++oy) {
-    for (int ox = 0; ox < ow; ++ox) {
-      uint64_t spatial_valid = 0;
+      // for every channel, group and image).
       for (int ky = 0; ky < spec.kh; ++ky) {
         const int iy = oy * spec.stride + ky - spec.pad;
         if (iy < 0 || iy >= h) continue;
@@ -148,8 +44,8 @@ void baseline_conv2d_batch(const QView& in, std::size_t in_stride, int batch,
           const int o = g * og + oc;
           const int16_t* wrow = weights.data.data() + static_cast<std::size_t>(o) * wstride;
           // Image loop inside the filter loop: wrow stays hot across the
-          // batch. Each image's tap order (c, ky, kx) matches the per-image
-          // core exactly, so the int32 accumulation is bit-identical.
+          // batch. Each image's tap order (c, ky, kx) is the batch-1 order,
+          // so the int32 accumulation is bit-identical.
           for (int b = 0; b < batch; ++b) {
             const int16_t* src = in.data + static_cast<std::size_t>(b) * in_stride;
             int32_t acc = 0;
@@ -175,10 +71,18 @@ void baseline_conv2d_batch(const QView& in, std::size_t in_stride, int batch,
         // Exactly batch x the per-image tallies (the modeled MCU does not
         // batch; the closed forms in sim/layer_cost.h price amortization).
         const uint64_t nb = static_cast<uint64_t>(batch);
+        // Valid taps per filter: each filter reads its own group's channels.
         const uint64_t taps_per_filter = spatial_valid * static_cast<uint64_t>(cg);
+        // im2col copy: the full patch (all input channels) is staged once
+        // per output position, read from the activation map and written to
+        // the column buffer.
         const uint64_t patch = spatial_valid * static_cast<uint64_t>(spec.in_ch);
         counter->add(Event::kSramRead, patch * nb);
         counter->add(Event::kSramWrite, patch * nb);
+        // MAC loop per filter: sequential weight stream from flash, column
+        // buffer reads from SRAM, one MAC per tap plus the q7
+        // sign-extension, pointer-update and loop-compare ALU work a
+        // Cortex-M3 (no DSP extension) pays per element.
         const uint64_t work = taps_per_filter * static_cast<uint64_t>(spec.out_ch);
         counter->add(Event::kFlashSeqByte, work * nb);
         counter->add(Event::kSramRead, work * nb);
@@ -192,13 +96,13 @@ void baseline_conv2d_batch(const QView& in, std::size_t in_stride, int batch,
   }
 }
 
-void baseline_linear_batch(const QView& in, std::size_t in_stride, int batch,
-                           const QTensor& weights, const Requant& rq, QView& out,
-                           std::size_t out_stride, sim::CostCounter* counter) {
-  check(in.rank == 2 && in.shape[0] == 1, "baseline_linear_batch: input must be 1xF");
-  check(batch >= 1, "baseline_linear_batch: batch must be >= 1");
+void baseline_linear(const QView& in, std::size_t in_stride, int batch, const QTensor& weights,
+                     const Requant& rq, QView& out, std::size_t out_stride,
+                     sim::CostCounter* counter) {
+  check(in.rank == 2 && in.shape[0] == 1, "baseline_linear: input must be 1xF");
+  check(batch >= 1, "baseline_linear: batch must be >= 1");
   const int fin = in.dim(1), fout = weights.dim(0);
-  check(weights.dim(1) == fin, "baseline_linear_batch: shape mismatch");
+  check(weights.dim(1) == fin, "baseline_linear: shape mismatch");
   out.set_shape({1, fout});
   out.bits = rq.out.bits;
   out.is_signed = rq.out.is_signed;
@@ -327,7 +231,7 @@ QTensor baseline_conv2d(const QTensor& input, const QTensor& weights, const nn::
   const int oh = spec.out_h(input.dim(2)), ow = spec.out_w(input.dim(3));
   QTensor out = make_out({1, spec.out_ch, oh, ow}, rq);
   QView ov = QView::of(out);
-  baseline_conv2d(QView::of(input), weights, spec, rq, ov, counter);
+  baseline_conv2d(QView::of(input), input.size(), 1, weights, spec, rq, ov, out.size(), counter);
   return out;
 }
 
@@ -336,7 +240,7 @@ QTensor baseline_linear(const QTensor& input, const QTensor& weights, const Requ
   check(input.shape.size() == 2 && input.shape[0] == 1, "baseline_linear: input must be 1xF");
   QTensor out = make_out({1, weights.dim(0)}, rq);
   QView ov = QView::of(out);
-  baseline_linear(QView::of(input), weights, rq, ov, counter);
+  baseline_linear(QView::of(input), input.size(), 1, weights, rq, ov, out.size(), counter);
   return out;
 }
 

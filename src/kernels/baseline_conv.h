@@ -7,8 +7,8 @@
 //
 // Each kernel has two entry points: a view core that writes into a
 // caller-provided (arena) output view — the form the Executor's backends
-// call, zero-allocation — and an owning-QTensor wrapper kept for tests,
-// benches and one-off callers.
+// call, zero-allocation — and an owning-QTensor wrapper (a single-image call
+// into the view core) kept for tests, benches and one-off callers.
 #pragma once
 
 #include "kernels/common.h"
@@ -16,36 +16,30 @@
 namespace bswp::kernels {
 
 // --- arena (view) cores ------------------------------------------------------
+//
+// Conv and linear have one core each, over arena slots laid out at a fixed
+// per-image element stride: image b reads `in.data + b * in_stride` and
+// writes `out.data + b * out_stride` (`in`/`out` describe image 0); batch 1
+// is the single-image case. The image loop sits INSIDE the filter loop so
+// each weight row is loaded once per batch instead of once per image;
+// per-image accumulation order is the batch-1 order, so results and
+// CostCounter tallies are byte-identical to `batch` single-image calls
+// (tallies are exactly batch x per-image).
 
 /// int8 convolution into `out`. `in` is 1xCxHxW (signed or unsigned,
 /// zero_point 0); `weights` is OIHW signed int8. Output is quantized via
-/// `rq`; `out.data` must hold out_ch * oh * ow elements.
-void baseline_conv2d(const QView& in, const QTensor& weights, const nn::ConvSpec& spec,
-                     const Requant& rq, QView& out, sim::CostCounter* counter);
+/// `rq`; each image's output slot holds out_ch * oh * ow elements.
+void baseline_conv2d(const QView& in, std::size_t in_stride, int batch, const QTensor& weights,
+                     const nn::ConvSpec& spec, const Requant& rq, QView& out,
+                     std::size_t out_stride, sim::CostCounter* counter);
 
 /// int8 fully-connected layer into `out`; `in` is flat (1xF).
-void baseline_linear(const QView& in, const QTensor& weights, const Requant& rq, QView& out,
+void baseline_linear(const QView& in, std::size_t in_stride, int batch, const QTensor& weights,
+                     const Requant& rq, QView& out, std::size_t out_stride,
                      sim::CostCounter* counter);
 
-// --- batched cores -----------------------------------------------------------
-//
-// Batch-N forms over arena slots laid out at a fixed per-image element
-// stride: image b reads `in.data + b * in_stride` and writes
-// `out.data + b * out_stride` (`in`/`out` describe image 0). The image loop
-// sits INSIDE the filter loop so each weight row is loaded once per batch
-// instead of once per image; per-image accumulation order is unchanged, so
-// results and CostCounter tallies are byte-identical to running the
-// per-image core `batch` times (tallies are exactly batch x per-image).
-
-/// Batched int8 convolution (see block comment above).
-void baseline_conv2d_batch(const QView& in, std::size_t in_stride, int batch,
-                           const QTensor& weights, const nn::ConvSpec& spec, const Requant& rq,
-                           QView& out, std::size_t out_stride, sim::CostCounter* counter);
-
-/// Batched int8 fully-connected layer (see block comment above).
-void baseline_linear_batch(const QView& in, std::size_t in_stride, int batch,
-                           const QTensor& weights, const Requant& rq, QView& out,
-                           std::size_t out_stride, sim::CostCounter* counter);
+// Pooling and the residual add are single-image: their backends loop them
+// per image (runtime::for_each_image), having no stationary operand to share.
 
 /// Max pooling in the quantized domain (scale-preserving) into `out`.
 void maxpool_q(const QView& in, int k, int stride, QView& out, sim::CostCounter* counter);

@@ -9,34 +9,21 @@
 namespace bswp::runtime {
 namespace {
 
-/// Per-image element stride of the plan's first input inside a batched arena.
-std::size_t input_stride(const ExecContext& ctx) {
-  return ctx.net.plans[static_cast<std::size_t>(ctx.plan.inputs[0])].out_elems();
-}
-
 class BitSerialConvBackend : public KernelBackend {
  public:
   explicit BitSerialConvBackend(kernels::BitSerialVariant v) : variant_(v) {
     name_ = std::string("bitserial/conv-") + kernels::variant_name(v);
   }
   const char* name() const override { return name_.c_str(); }
-  void execute(const ExecContext& ctx) const override {
-    kernels::bitserial_conv2d(ctx.input(0), ctx.plan.indices, ctx.net.lut, ctx.plan.spec,
-                              ctx.plan.rq, variant_, *ctx.out, *ctx.scratch, ctx.counter);
-  }
   void execute_batch(const ExecContext& ctx) const override {
-    kernels::bitserial_conv2d_batch(ctx.input(0), input_stride(ctx), ctx.batch, ctx.plan.indices,
-                                    ctx.net.lut, ctx.plan.spec, ctx.plan.rq, variant_, *ctx.out,
-                                    ctx.plan.out_elems(), *ctx.scratch, ctx.counter);
-  }
-  std::size_t scratch_bytes(const CompiledNetwork& net, const LayerPlan& plan) const override {
-    return kernels::bitserial_host_scratch_bytes(plan.spec.out_ch, net.lut.pool_size,
-                                                 net.lut.group_size);
+    kernels::bitserial_conv2d(ctx.input(0), ctx.input_stride(), ctx.batch, ctx.plan.indices,
+                              ctx.net.lut, ctx.plan.spec, ctx.plan.rq, variant_, *ctx.out,
+                              ctx.plan.out_elems(), *ctx.scratch, ctx.counter);
   }
   std::size_t scratch_bytes_batch(const CompiledNetwork& net, const LayerPlan& plan,
                                   int batch) const override {
-    return kernels::bitserial_host_scratch_bytes_batch(plan.spec.out_ch, net.lut.pool_size,
-                                                       net.lut.group_size, batch);
+    return kernels::bitserial_host_scratch_bytes(plan.spec.out_ch, net.lut.pool_size,
+                                                 net.lut.group_size, batch);
   }
 
  private:
@@ -50,23 +37,15 @@ class BitSerialLinearBackend : public KernelBackend {
     name_ = std::string("bitserial/linear-") + kernels::variant_name(v);
   }
   const char* name() const override { return name_.c_str(); }
-  void execute(const ExecContext& ctx) const override {
-    kernels::bitserial_linear(ctx.input(0), ctx.plan.indices, ctx.net.lut, ctx.plan.rq, variant_,
-                              *ctx.out, *ctx.scratch, ctx.counter);
-  }
   void execute_batch(const ExecContext& ctx) const override {
-    kernels::bitserial_linear_batch(ctx.input(0), input_stride(ctx), ctx.batch, ctx.plan.indices,
-                                    ctx.net.lut, ctx.plan.rq, variant_, *ctx.out,
-                                    ctx.plan.out_elems(), *ctx.scratch, ctx.counter);
-  }
-  std::size_t scratch_bytes(const CompiledNetwork& net, const LayerPlan& plan) const override {
-    return kernels::bitserial_host_scratch_bytes(plan.indices.out_ch, net.lut.pool_size,
-                                                 net.lut.group_size);
+    kernels::bitserial_linear(ctx.input(0), ctx.input_stride(), ctx.batch, ctx.plan.indices,
+                              ctx.net.lut, ctx.plan.rq, variant_, *ctx.out, ctx.plan.out_elems(),
+                              *ctx.scratch, ctx.counter);
   }
   std::size_t scratch_bytes_batch(const CompiledNetwork& net, const LayerPlan& plan,
                                   int batch) const override {
-    return kernels::bitserial_host_scratch_bytes_batch(plan.indices.out_ch, net.lut.pool_size,
-                                                       net.lut.group_size, batch);
+    return kernels::bitserial_host_scratch_bytes(plan.indices.out_ch, net.lut.pool_size,
+                                                 net.lut.group_size, batch);
   }
 
  private:

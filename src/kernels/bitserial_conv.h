@@ -23,7 +23,8 @@
 // The view cores draw their temporaries (accumulators, precompute/memo
 // buffers, channel-group staging) from a caller-provided ScratchArena so a
 // warm Executor performs zero heap allocations; the owning-QTensor wrappers
-// allocate their own scratch and remain for tests and one-off callers.
+// allocate their own scratch and remain for tests, benches and one-off
+// callers.
 #pragma once
 
 #include "core/arena.h"
@@ -43,55 +44,40 @@ enum class BitSerialVariant {
 const char* variant_name(BitSerialVariant v);
 
 // --- arena (view) cores ------------------------------------------------------
+//
+// One core per layer type, over arena slots at a fixed per-image element
+// stride: image b reads `in.data + b * in_stride` and writes
+// `out.data + b * out_stride` (the views describe image 0); batch 1 is the
+// single-image case. The image loop sits inside the (position, kernel tap,
+// channel group) context so the packed index row and cached LUT blocks stay
+// hot across the batch; each image's unpack / lookup / accumulate sequence
+// is the batch-1 sequence, so outputs and CostCounter tallies are
+// byte-identical to `batch` single-image calls (tallies exactly batch x).
 
 /// Bit-serial pooled convolution into `out`. `in` must be unsigned-quantized
 /// with `in.bits` <= the LUT's supported range (activation bitwidth M is
 /// taken from the input view — reducing M truncates the bit-serial loop).
 /// `spec.groups` must be 1 and `spec.in_ch` divisible by the pool group size.
-void bitserial_conv2d(const QView& in, const PackedIndices& indices, const pool::DotLut& lut,
+void bitserial_conv2d(const QView& in, std::size_t in_stride, int batch,
+                      const PackedIndices& indices, const pool::DotLut& lut,
                       const nn::ConvSpec& spec, const Requant& rq, BitSerialVariant variant,
-                      QView& out, ScratchArena& scratch, sim::CostCounter* counter);
+                      QView& out, std::size_t out_stride, ScratchArena& scratch,
+                      sim::CostCounter* counter);
 
 /// Bit-serial pooled fully-connected layer (footnote-1 configuration).
-void bitserial_linear(const QView& in, const PackedIndices& indices, const pool::DotLut& lut,
-                      const Requant& rq, BitSerialVariant variant, QView& out,
+void bitserial_linear(const QView& in, std::size_t in_stride, int batch,
+                      const PackedIndices& indices, const pool::DotLut& lut, const Requant& rq,
+                      BitSerialVariant variant, QView& out, std::size_t out_stride,
                       ScratchArena& scratch, sim::CostCounter* counter);
 
-/// Host scratch bytes the view cores draw from their arena for a layer with
-/// `out_ch` filters against a pool of `pool_size` vectors and group size
-/// `group_size` (conservative: sized for the hungriest variant).
-std::size_t bitserial_host_scratch_bytes(int out_ch, int pool_size, int group_size);
+/// Host scratch bytes the view cores draw from their arena for `batch`
+/// images of a layer with `out_ch` filters against a pool of `pool_size`
+/// vectors and group size `group_size` (conservative: sized for the
+/// hungriest variant). The accumulator array carries the batch dimension;
+/// the per-group staging buffers are shared.
+std::size_t bitserial_host_scratch_bytes(int out_ch, int pool_size, int group_size, int batch);
 
-// --- batched cores -----------------------------------------------------------
-//
-// Batch-N forms over arena slots at a fixed per-image element stride (image
-// b reads `in.data + b * in_stride`, writes `out.data + b * out_stride`;
-// the views describe image 0). The image loop sits inside the (position,
-// kernel tap, channel group) context so the packed index row and cached LUT
-// blocks stay hot across the batch; each image's unpack / lookup /
-// accumulate sequence is unchanged, so outputs and CostCounter tallies are
-// byte-identical to `batch` per-image calls (tallies exactly batch x).
-
-/// Batched bit-serial pooled convolution (see block comment above).
-void bitserial_conv2d_batch(const QView& in, std::size_t in_stride, int batch,
-                            const PackedIndices& indices, const pool::DotLut& lut,
-                            const nn::ConvSpec& spec, const Requant& rq, BitSerialVariant variant,
-                            QView& out, std::size_t out_stride, ScratchArena& scratch,
-                            sim::CostCounter* counter);
-
-/// Batched bit-serial pooled fully-connected layer (see block comment above).
-void bitserial_linear_batch(const QView& in, std::size_t in_stride, int batch,
-                            const PackedIndices& indices, const pool::DotLut& lut,
-                            const Requant& rq, BitSerialVariant variant, QView& out,
-                            std::size_t out_stride, ScratchArena& scratch,
-                            sim::CostCounter* counter);
-
-/// Host scratch bytes of the batched cores: the accumulator array carries a
-/// batch dimension; the per-group staging buffers are shared.
-std::size_t bitserial_host_scratch_bytes_batch(int out_ch, int pool_size, int group_size,
-                                               int batch);
-
-// --- owning wrappers ---------------------------------------------------------
+// --- owning wrappers (batch-1 calls into the view cores) --------------------
 
 QTensor bitserial_conv2d(const QTensor& input, const PackedIndices& indices,
                          const pool::DotLut& lut, const nn::ConvSpec& spec, const Requant& rq,

@@ -156,13 +156,15 @@ void run_context(const pool::DotLut& lut, const int16_t* group_vals, int group_s
 /// Same context for `batch` images whose group vectors sit `img_stride`
 /// elements apart: unpack up to 8 images' bit-planes per transposed AVX2
 /// pass, then run each image's pool precompute + index gather off the
-/// transposed columns. Falls back to per-image run_context off the fast path.
+/// transposed columns. A single image (nothing to transpose) and the
+/// non-AVX2 paths run per-image run_context.
 void run_context_batch(const pool::DotLut& lut, const int16_t* base, std::size_t img_stride,
                        int batch, int group_size, int bits, const uint8_t* idx, int out_ch,
                        uint32_t* bitvec, int32_t* vals, int32_t* acc, std::size_t acc_stride,
                        bool use_avx2) {
 #if defined(BSWP_SIMD_X86)
-  if (use_avx2 && lut.order == pool::LutOrder::kInputOriented && group_size <= 32) {
+  if (batch > 1 && use_avx2 && lut.order == pool::LutOrder::kInputOriented &&
+      group_size <= 32) {
     alignas(32) int32_t bvt[16 * 8];
     for (int b0 = 0; b0 < batch; b0 += 8) {
       const int cnt = std::min(8, batch - b0);
@@ -183,12 +185,16 @@ void run_context_batch(const pool::DotLut& lut, const int16_t* base, std::size_t
   }
 }
 
-}  // namespace
-
-void simd_bitserial_conv2d(const QView& in, const PackedIndices& indices,
-                           const pool::DotLut& lut, const nn::ConvSpec& spec, const Requant& rq,
-                           BitSerialVariant variant, QView& out, ScratchArena& scratch,
-                           sim::CostCounter* counter) {
+/// simd_bitserial_conv2d's body, instantiated for a compile-time single
+/// image (kFixedBatch = 1, where the HWC staging path folds away) and for a
+/// run-time count (0), for the reason given at kernels::bitserial_conv2d's
+/// core.
+template <int kFixedBatch>
+void conv2d_core(const QView& in, std::size_t in_stride, int batch_arg,
+                 const PackedIndices& indices, const pool::DotLut& lut, const nn::ConvSpec& spec,
+                 const Requant& rq, BitSerialVariant variant, QView& out, std::size_t out_stride,
+                 ScratchArena& scratch, sim::CostCounter* counter) {
+  const int batch = kFixedBatch > 0 ? kFixedBatch : batch_arg;
   check(in.rank == 4 && in.shape[0] == 1, "simd_bitserial_conv2d: input must be 1xCxHxW");
   check(!in.is_signed, "simd_bitserial_conv2d: activations must be unsigned-quantized");
   check(spec.groups == 1, "simd_bitserial_conv2d: grouped convs are not poolable");
@@ -197,110 +203,9 @@ void simd_bitserial_conv2d(const QView& in, const PackedIndices& indices,
   check(indices.out_ch == spec.out_ch && indices.kh == spec.kh && indices.kw == spec.kw &&
             indices.groups == spec.in_ch / lut.group_size,
         "simd_bitserial_conv2d: index map does not match conv spec");
+  check(batch >= 1, "simd_bitserial_conv2d: batch must be >= 1");
   const int M = in.bits;
   check(M >= 1 && M <= 16, "simd_bitserial_conv2d: activation bits out of range");
-
-  const int G = lut.group_size;
-  const int gcnt = spec.in_ch / G;
-  const int h = in.dim(2), w = in.dim(3);
-  const int oh = spec.out_h(h), ow = spec.out_w(w);
-  const int F = spec.out_ch;
-  const int S = lut.pool_size;
-
-  out.set_shape({1, F, oh, ow});
-  out.bits = rq.out.bits;
-  out.is_signed = rq.out.is_signed;
-  out.scale = rq.out.scale;
-  out.zero_point = rq.out.zero_point;
-
-  int32_t* acc = scratch.alloc<int32_t>(static_cast<std::size_t>(F));
-  int32_t* vals = scratch.alloc<int32_t>(static_cast<std::size_t>(S));
-  int16_t* group_vals = scratch.alloc<int16_t>(static_cast<std::size_t>(G));
-  uint32_t bitvec[16] = {};
-  const bool use_avx2 = avx2_supported();
-
-  for (int oy = 0; oy < oh; ++oy) {
-    for (int ox = 0; ox < ow; ++ox) {
-      std::fill(acc, acc + F, 0);
-      for (int ky = 0; ky < spec.kh; ++ky) {
-        const int iy = oy * spec.stride + ky - spec.pad;
-        if (iy < 0 || iy >= h) continue;
-        for (int kx = 0; kx < spec.kw; ++kx) {
-          const int ix = ox * spec.stride + kx - spec.pad;
-          if (ix < 0 || ix >= w) continue;
-          for (int g = 0; g < gcnt; ++g) {
-            for (int j = 0; j < G; ++j) {
-              group_vals[static_cast<std::size_t>(j)] =
-                  in.data[(static_cast<std::size_t>(g * G + j) * h + iy) * w + ix];
-            }
-            run_context(lut, group_vals, G, M, indices.idx.data() + indices.flat(ky, kx, g, 0),
-                        F, bitvec, vals, acc, use_avx2);
-          }
-        }
-      }
-      for (int o = 0; o < F; ++o) {
-        out.data[(static_cast<std::size_t>(o) * oh + oy) * ow + ox] = rq.apply(acc[o], o);
-      }
-    }
-  }
-  // Tally the plan's scalar variant's exact event counts (the closed form is
-  // pinned to the scalar kernel) so MCU estimates ignore the host lane.
-  if (counter != nullptr)
-    counter->merge(sim::bitserial_conv_cost(spec, h, w, M, lut, indices, variant));
-}
-
-void simd_bitserial_linear(const QView& in, const PackedIndices& indices,
-                           const pool::DotLut& lut, const Requant& rq,
-                           BitSerialVariant variant, QView& out, ScratchArena& scratch,
-                           sim::CostCounter* counter) {
-  check(in.rank == 2 && in.shape[0] == 1, "simd_bitserial_linear: input must be 1xF");
-  check(!in.is_signed, "simd_bitserial_linear: activations must be unsigned-quantized");
-  const int fin = in.dim(1);
-  const int G = lut.group_size;
-  check(fin % G == 0, "simd_bitserial_linear: input features must divide by group size");
-  check(indices.kh == 1 && indices.kw == 1 && indices.groups == fin / G,
-        "simd_bitserial_linear: index map mismatch");
-  const int M = in.bits;
-  const int F = indices.out_ch;
-  const int S = lut.pool_size;
-
-  out.set_shape({1, F});
-  out.bits = rq.out.bits;
-  out.is_signed = rq.out.is_signed;
-  out.scale = rq.out.scale;
-  out.zero_point = rq.out.zero_point;
-
-  int32_t* acc = scratch.alloc<int32_t>(static_cast<std::size_t>(F));
-  int32_t* vals = scratch.alloc<int32_t>(static_cast<std::size_t>(S));
-  std::fill(acc, acc + F, 0);
-  uint32_t bitvec[16] = {};
-  const bool use_avx2 = avx2_supported();
-
-  for (int g = 0; g < fin / G; ++g) {
-    run_context(lut, in.data + static_cast<std::size_t>(g) * G, G, M,
-                indices.idx.data() + indices.flat(0, 0, g, 0), F, bitvec, vals, acc, use_avx2);
-  }
-  for (int o = 0; o < F; ++o) out.data[static_cast<std::size_t>(o)] = rq.apply(acc[o], o);
-  if (counter != nullptr)
-    counter->merge(sim::bitserial_linear_cost(fin, M, lut, indices, variant));
-}
-
-void simd_bitserial_conv2d_batch(const QView& in, std::size_t in_stride, int batch,
-                                 const PackedIndices& indices, const pool::DotLut& lut,
-                                 const nn::ConvSpec& spec, const Requant& rq,
-                                 BitSerialVariant variant, QView& out, std::size_t out_stride,
-                                 ScratchArena& scratch, sim::CostCounter* counter) {
-  check(in.rank == 4 && in.shape[0] == 1, "simd_bitserial_conv2d_batch: input must be 1xCxHxW");
-  check(!in.is_signed, "simd_bitserial_conv2d_batch: activations must be unsigned-quantized");
-  check(spec.groups == 1, "simd_bitserial_conv2d_batch: grouped convs are not poolable");
-  check(spec.in_ch % lut.group_size == 0,
-        "simd_bitserial_conv2d_batch: in_ch must divide by group size");
-  check(indices.out_ch == spec.out_ch && indices.kh == spec.kh && indices.kw == spec.kw &&
-            indices.groups == spec.in_ch / lut.group_size,
-        "simd_bitserial_conv2d_batch: index map does not match conv spec");
-  check(batch >= 1, "simd_bitserial_conv2d_batch: batch must be >= 1");
-  const int M = in.bits;
-  check(M >= 1 && M <= 16, "simd_bitserial_conv2d_batch: activation bits out of range");
 
   const int G = lut.group_size;
   const int gcnt = spec.in_ch / G;
@@ -322,20 +227,31 @@ void simd_bitserial_conv2d_batch(const QView& in, std::size_t in_stride, int bat
   uint32_t bitvec[16] = {};
   const bool use_avx2 = avx2_supported();
 
-  // Throughput-path layout fix, amortized over the whole batch: stage every
-  // image's input window to HWC once, so the hot (tap, group, image) loop
-  // reads each channel-group vector as ONE contiguous 1xG row instead of G
-  // scalar loads strided h*w apart (which thrash L1 once the CHW activation
-  // plane outgrows it). Values are only moved, never transformed, so the
-  // per-image sums — and the logits — are untouched.
+  // The input layout follows the batch size (values are only moved, never
+  // transformed, so the sums are untouched either way):
+  //  * one image gathers each channel-group vector straight from the CHW
+  //    activation into a G-element row — a per-call HWC restage would cost
+  //    more than the G strided loads it saves;
+  //  * a batch stages every image's input window to HWC once, amortized
+  //    over the batch, so the hot (tap, group, image) loop reads each
+  //    channel-group vector as ONE contiguous 1xG row instead of G scalar
+  //    loads strided h*w apart (which thrash L1 once the CHW activation
+  //    plane outgrows it), and unpacks up to 8 images per AVX2 pass.
   const std::size_t hw = static_cast<std::size_t>(h) * w;
-  int16_t* hwc = scratch.alloc<int16_t>(static_cast<std::size_t>(batch) * hw * spec.in_ch);
-  for (int b = 0; b < batch; ++b) {
-    const int16_t* src = in.data + static_cast<std::size_t>(b) * in_stride;
-    int16_t* dst = hwc + static_cast<std::size_t>(b) * hw * spec.in_ch;
-    for (int c = 0; c < spec.in_ch; ++c) {
-      for (std::size_t p = 0; p < hw; ++p) {
-        dst[p * static_cast<std::size_t>(spec.in_ch) + c] = src[static_cast<std::size_t>(c) * hw + p];
+  const std::size_t chw = hw * static_cast<std::size_t>(spec.in_ch);
+  int16_t* group_vals = nullptr;
+  int16_t* hwc = nullptr;
+  if (batch == 1) {
+    group_vals = scratch.alloc<int16_t>(static_cast<std::size_t>(G));
+  } else {
+    hwc = scratch.alloc<int16_t>(static_cast<std::size_t>(batch) * chw);
+    for (int b = 0; b < batch; ++b) {
+      const int16_t* src = in.data + static_cast<std::size_t>(b) * in_stride;
+      int16_t* dst = hwc + static_cast<std::size_t>(b) * chw;
+      for (int c = 0; c < spec.in_ch; ++c) {
+        for (std::size_t p = 0; p < hw; ++p) {
+          dst[p * static_cast<std::size_t>(spec.in_ch) + c] = src[static_cast<std::size_t>(c) * hw + p];
+        }
       }
     }
   }
@@ -349,13 +265,19 @@ void simd_bitserial_conv2d_batch(const QView& in, std::size_t in_stride, int bat
         for (int kx = 0; kx < spec.kw; ++kx) {
           const int ix = ox * spec.stride + kx - spec.pad;
           if (ix < 0 || ix >= w) continue;
+          const std::size_t pixel = static_cast<std::size_t>(iy) * w + ix;
           for (int g = 0; g < gcnt; ++g) {
             const uint8_t* idx = indices.idx.data() + indices.flat(ky, kx, g, 0);
-            const int16_t* base = hwc +
-                                  ((static_cast<std::size_t>(iy) * w + ix) * spec.in_ch) +
-                                  static_cast<std::size_t>(g) * G;
-            run_context_batch(lut, base, hw * static_cast<std::size_t>(spec.in_ch), batch, G, M,
-                              idx, F, bitvec, vals, acc, static_cast<std::size_t>(F), use_avx2);
+            if (hwc == nullptr) {
+              for (int j = 0; j < G; ++j) {
+                group_vals[j] = in.data[static_cast<std::size_t>(g * G + j) * hw + pixel];
+              }
+              run_context(lut, group_vals, G, M, idx, F, bitvec, vals, acc, use_avx2);
+            } else {
+              const int16_t* base = hwc + pixel * spec.in_ch + static_cast<std::size_t>(g) * G;
+              run_context_batch(lut, base, chw, batch, G, M, idx, F, bitvec, vals, acc,
+                                static_cast<std::size_t>(F), use_avx2);
+            }
           }
         }
       }
@@ -368,25 +290,44 @@ void simd_bitserial_conv2d_batch(const QView& in, std::size_t in_stride, int bat
       }
     }
   }
+  // Tally the plan's scalar variant's exact event counts (the closed form is
+  // pinned to the scalar kernel), batch x, so MCU estimates ignore the host
+  // lane and the batch size.
   if (counter != nullptr) {
     const sim::CostCounter per_image = sim::bitserial_conv_cost(spec, h, w, M, lut, indices, variant);
     for (int b = 0; b < batch; ++b) counter->merge(per_image);
   }
 }
 
-void simd_bitserial_linear_batch(const QView& in, std::size_t in_stride, int batch,
-                                 const PackedIndices& indices, const pool::DotLut& lut,
-                                 const Requant& rq, BitSerialVariant variant, QView& out,
-                                 std::size_t out_stride, ScratchArena& scratch,
-                                 sim::CostCounter* counter) {
-  check(in.rank == 2 && in.shape[0] == 1, "simd_bitserial_linear_batch: input must be 1xF");
-  check(!in.is_signed, "simd_bitserial_linear_batch: activations must be unsigned-quantized");
-  check(batch >= 1, "simd_bitserial_linear_batch: batch must be >= 1");
+}  // namespace
+
+void simd_bitserial_conv2d(const QView& in, std::size_t in_stride, int batch,
+                           const PackedIndices& indices, const pool::DotLut& lut,
+                           const nn::ConvSpec& spec, const Requant& rq, BitSerialVariant variant,
+                           QView& out, std::size_t out_stride, ScratchArena& scratch,
+                           sim::CostCounter* counter) {
+  if (batch == 1) {
+    conv2d_core<1>(in, in_stride, batch, indices, lut, spec, rq, variant, out, out_stride,
+                   scratch, counter);
+  } else {
+    conv2d_core<0>(in, in_stride, batch, indices, lut, spec, rq, variant, out, out_stride,
+                   scratch, counter);
+  }
+}
+
+void simd_bitserial_linear(const QView& in, std::size_t in_stride, int batch,
+                           const PackedIndices& indices, const pool::DotLut& lut,
+                           const Requant& rq, BitSerialVariant variant, QView& out,
+                           std::size_t out_stride, ScratchArena& scratch,
+                           sim::CostCounter* counter) {
+  check(in.rank == 2 && in.shape[0] == 1, "simd_bitserial_linear: input must be 1xF");
+  check(!in.is_signed, "simd_bitserial_linear: activations must be unsigned-quantized");
+  check(batch >= 1, "simd_bitserial_linear: batch must be >= 1");
   const int fin = in.dim(1);
   const int G = lut.group_size;
-  check(fin % G == 0, "simd_bitserial_linear_batch: input features must divide by group size");
+  check(fin % G == 0, "simd_bitserial_linear: input features must divide by group size");
   check(indices.kh == 1 && indices.kw == 1 && indices.groups == fin / G,
-        "simd_bitserial_linear_batch: index map mismatch");
+        "simd_bitserial_linear: index map mismatch");
   const int M = in.bits;
   const int F = indices.out_ch;
   const int S = lut.pool_size;
@@ -419,27 +360,19 @@ void simd_bitserial_linear_batch(const QView& in, std::size_t in_stride, int bat
   }
 }
 
-std::size_t simd_bitserial_scratch_bytes(int out_ch, int pool_size, int group_size) {
-  return ScratchArena::bytes_for<int32_t>(static_cast<std::size_t>(out_ch)) +
-         ScratchArena::bytes_for<int32_t>(static_cast<std::size_t>(pool_size)) +
-         ScratchArena::bytes_for<int16_t>(static_cast<std::size_t>(group_size));
-}
-
-std::size_t simd_bitserial_scratch_bytes_batch(int out_ch, int pool_size, int group_size,
-                                               int batch) {
+std::size_t simd_bitserial_linear_scratch_bytes(int out_ch, int pool_size, int batch) {
   return ScratchArena::bytes_for<int32_t>(static_cast<std::size_t>(out_ch) *
                                           static_cast<std::size_t>(batch)) +
-         ScratchArena::bytes_for<int32_t>(static_cast<std::size_t>(pool_size)) +
-         ScratchArena::bytes_for<int16_t>(static_cast<std::size_t>(group_size));
+         ScratchArena::bytes_for<int32_t>(static_cast<std::size_t>(pool_size));
 }
 
-std::size_t simd_bitserial_conv_scratch_bytes_batch(const nn::ConvSpec& spec, int in_h, int in_w,
-                                                    int out_ch, int pool_size, int batch) {
-  return ScratchArena::bytes_for<int32_t>(static_cast<std::size_t>(out_ch) *
-                                          static_cast<std::size_t>(batch)) +
-         ScratchArena::bytes_for<int32_t>(static_cast<std::size_t>(pool_size)) +
-         ScratchArena::bytes_for<int16_t>(static_cast<std::size_t>(batch) *
-                                          static_cast<std::size_t>(in_h) * in_w * spec.in_ch);
+std::size_t simd_bitserial_conv_scratch_bytes(const nn::ConvSpec& spec, int in_h, int in_w,
+                                              int pool_size, int group_size, int batch) {
+  const std::size_t staging = batch == 1 ? static_cast<std::size_t>(group_size)
+                                         : static_cast<std::size_t>(batch) *
+                                               static_cast<std::size_t>(in_h) * in_w * spec.in_ch;
+  return simd_bitserial_linear_scratch_bytes(spec.out_ch, pool_size, batch) +
+         ScratchArena::bytes_for<int16_t>(staging);
 }
 
 }  // namespace bswp::kernels::simd

@@ -82,13 +82,14 @@ int32_t dot1_portable(const int16_t* col, const int16_t* w, int K) {
   return acc;
 }
 
-/// Stage group g's zero-point-shifted patch at (oy, ox) as a column matching
+/// Stage group g's zero-point-shifted patch at (oy, ox) of the CHW image at
+/// `in` as a column matching
 /// the weight-row layout widx = (c*kh + ky)*kw + kx. Invalid taps stage 0.
-void stage_column(const QView& in, const nn::ConvSpec& spec, int g, int oy, int ox, int h,
+void stage_column(const int16_t* in, const nn::ConvSpec& spec, int g, int oy, int ox, int h,
                   int w, int cg, int32_t in_zp, int16_t* col) {
   std::size_t widx = 0;
   for (int c = 0; c < cg; ++c) {
-    const int16_t* chan = in.data + static_cast<std::size_t>(g * cg + c) * h * w;
+    const int16_t* chan = in + static_cast<std::size_t>(g * cg + c) * h * w;
     for (int ky = 0; ky < spec.kh; ++ky) {
       const int iy = oy * spec.stride + ky - spec.pad;
       const bool row_ok = iy >= 0 && iy < h;
@@ -102,116 +103,17 @@ void stage_column(const QView& in, const nn::ConvSpec& spec, int g, int oy, int 
   }
 }
 
-}  // namespace
-
-void simd_conv2d(const QView& in, const QTensor& weights, const nn::ConvSpec& spec,
-                 const Requant& rq, QView& out, ScratchArena& scratch,
-                 sim::CostCounter* counter) {
+/// simd_conv2d's body, instantiated for a compile-time single image
+/// (kFixedBatch = 1) and for a run-time count (0), for the reason given at
+/// kernels::bitserial_conv2d's core.
+template <int kFixedBatch>
+void conv2d_core(const QView& in, std::size_t in_stride, int batch_arg, const QTensor& weights,
+                 const nn::ConvSpec& spec, const Requant& rq, QView& out, std::size_t out_stride,
+                 ScratchArena& scratch, sim::CostCounter* counter) {
+  const int batch = kFixedBatch > 0 ? kFixedBatch : batch_arg;
   check(in.rank == 4 && in.shape[0] == 1, "simd_conv2d: input must be 1xCxHxW");
   check(in.dim(1) == spec.in_ch, "simd_conv2d: channel mismatch");
-  const int h = in.dim(2), w = in.dim(3);
-  const int oh = spec.out_h(h), ow = spec.out_w(w);
-  const int cg = spec.in_ch / spec.groups;
-  const int og = spec.out_ch / spec.groups;
-  const std::size_t wstride = static_cast<std::size_t>(cg) * spec.kh * spec.kw;
-  const int K = cg * spec.kh * spec.kw;
-
-  out.set_shape({1, spec.out_ch, oh, ow});
-  out.bits = rq.out.bits;
-  out.is_signed = rq.out.is_signed;
-  out.scale = rq.out.scale;
-  out.zero_point = rq.out.zero_point;
-  const int32_t in_zp = in.zero_point;
-
-  int16_t* col = scratch.alloc<int16_t>(static_cast<std::size_t>(K));
-#if defined(BSWP_SIMD_X86)
-  const bool use_avx2 = avx2_supported();
-#endif
-
-  for (int oy = 0; oy < oh; ++oy) {
-    for (int ox = 0; ox < ow; ++ox) {
-      for (int g = 0; g < spec.groups; ++g) {
-        stage_column(in, spec, g, oy, ox, h, w, cg, in_zp, col);
-        const int16_t* wbase = weights.data.data() + static_cast<std::size_t>(g) * og * wstride;
-        int oc = 0;
-#if defined(BSWP_SIMD_X86)
-        if (use_avx2) {
-          for (; oc + 4 <= og; oc += 4) {
-            int32_t r[4];
-            dot4_avx2(col, wbase + static_cast<std::size_t>(oc) * wstride, wstride, K, r);
-            for (int i = 0; i < 4; ++i) {
-              const int o = g * og + oc + i;
-              out.data[(static_cast<std::size_t>(o) * oh + oy) * ow + ox] = rq.apply(r[i], o);
-            }
-          }
-          for (; oc < og; ++oc) {
-            const int o = g * og + oc;
-            out.data[(static_cast<std::size_t>(o) * oh + oy) * ow + ox] =
-                rq.apply(dot1_avx2(col, wbase + static_cast<std::size_t>(oc) * wstride, K), o);
-          }
-        }
-#endif
-        for (; oc < og; ++oc) {
-          const int o = g * og + oc;
-          out.data[(static_cast<std::size_t>(o) * oh + oy) * ow + ox] =
-              rq.apply(dot1_portable(col, wbase + static_cast<std::size_t>(oc) * wstride, K), o);
-        }
-      }
-    }
-  }
-  // Tally the scalar MCU reference events (exactly what baseline_conv2d
-  // tallies — pinned by tests/test_layer_cost.cpp) so latency estimates keep
-  // modeling the microcontroller regardless of host lane.
-  if (counter != nullptr) counter->merge(sim::baseline_conv_cost(spec, h, w));
-}
-
-void simd_linear(const QView& in, const QTensor& weights, const Requant& rq, QView& out,
-                 ScratchArena& scratch, sim::CostCounter* counter) {
-  check(in.rank == 2 && in.shape[0] == 1, "simd_linear: input must be 1xF");
-  const int fin = in.dim(1), fout = weights.dim(0);
-  check(weights.dim(1) == fin, "simd_linear: shape mismatch");
-  out.set_shape({1, fout});
-  out.bits = rq.out.bits;
-  out.is_signed = rq.out.is_signed;
-  out.scale = rq.out.scale;
-  out.zero_point = rq.out.zero_point;
-
-  int16_t* col = scratch.alloc<int16_t>(static_cast<std::size_t>(fin));
-  const int32_t in_zp = in.zero_point;
-#pragma omp simd
-  for (int i = 0; i < fin; ++i)
-    col[i] = static_cast<int16_t>(in.data[static_cast<std::size_t>(i)] - in_zp);
-
-  const int16_t* wbase = weights.data.data();
-  const auto wstride = static_cast<std::size_t>(fin);
-  int o = 0;
-#if defined(BSWP_SIMD_X86)
-  if (avx2_supported()) {
-    for (; o + 4 <= fout; o += 4) {
-      int32_t r[4];
-      dot4_avx2(col, wbase + static_cast<std::size_t>(o) * wstride, wstride, fin, r);
-      for (int i = 0; i < 4; ++i)
-        out.data[static_cast<std::size_t>(o + i)] = rq.apply(r[i], o + i);
-    }
-    for (; o < fout; ++o) {
-      out.data[static_cast<std::size_t>(o)] =
-          rq.apply(dot1_avx2(col, wbase + static_cast<std::size_t>(o) * wstride, fin), o);
-    }
-  }
-#endif
-  for (; o < fout; ++o) {
-    out.data[static_cast<std::size_t>(o)] =
-        rq.apply(dot1_portable(col, wbase + static_cast<std::size_t>(o) * wstride, fin), o);
-  }
-  if (counter != nullptr) counter->merge(sim::baseline_linear_cost(fin, fout));
-}
-
-void simd_conv2d_batch(const QView& in, std::size_t in_stride, int batch, const QTensor& weights,
-                       const nn::ConvSpec& spec, const Requant& rq, QView& out,
-                       std::size_t out_stride, ScratchArena& scratch, sim::CostCounter* counter) {
-  check(in.rank == 4 && in.shape[0] == 1, "simd_conv2d_batch: input must be 1xCxHxW");
-  check(in.dim(1) == spec.in_ch, "simd_conv2d_batch: channel mismatch");
-  check(batch >= 1, "simd_conv2d_batch: batch must be >= 1");
+  check(batch >= 1, "simd_conv2d: batch must be >= 1");
   const int h = in.dim(2), w = in.dim(3);
   const int oh = spec.out_h(h), ow = spec.out_w(w);
   const int cg = spec.in_ch / spec.groups;
@@ -237,9 +139,8 @@ void simd_conv2d_batch(const QView& in, std::size_t in_stride, int batch, const 
     for (int ox = 0; ox < ow; ++ox) {
       for (int g = 0; g < spec.groups; ++g) {
         for (int b = 0; b < batch; ++b) {
-          QView in_b = in;
-          in_b.data += static_cast<std::size_t>(b) * in_stride;
-          stage_column(in_b, spec, g, oy, ox, h, w, cg, in_zp, cols + static_cast<std::size_t>(b) * K);
+          stage_column(in.data + static_cast<std::size_t>(b) * in_stride, spec, g, oy, ox, h, w,
+                       cg, in_zp, cols + static_cast<std::size_t>(b) * K);
         }
         const int16_t* wbase = weights.data.data() + static_cast<std::size_t>(g) * og * wstride;
         int oc = 0;
@@ -282,22 +183,36 @@ void simd_conv2d_batch(const QView& in, std::size_t in_stride, int batch, const 
       }
     }
   }
-  // Exactly batch x the scalar MCU reference events (the modeled MCU does
-  // not batch; the batched closed forms in sim/layer_cost.h only price the
-  // host-side amortization for lane selection).
+  // Tally exactly batch x the scalar MCU reference events (what
+  // baseline_conv2d tallies — pinned by tests/test_layer_cost.cpp) so latency
+  // estimates keep modeling the microcontroller regardless of host lane. The
+  // modeled MCU does not batch; the batched closed forms in sim/layer_cost.h
+  // only price the host-side amortization for lane selection.
   if (counter != nullptr) {
     const sim::CostCounter per_image = sim::baseline_conv_cost(spec, h, w);
     for (int b = 0; b < batch; ++b) counter->merge(per_image);
   }
 }
 
-void simd_linear_batch(const QView& in, std::size_t in_stride, int batch, const QTensor& weights,
-                       const Requant& rq, QView& out, std::size_t out_stride,
-                       ScratchArena& scratch, sim::CostCounter* counter) {
-  check(in.rank == 2 && in.shape[0] == 1, "simd_linear_batch: input must be 1xF");
-  check(batch >= 1, "simd_linear_batch: batch must be >= 1");
+}  // namespace
+
+void simd_conv2d(const QView& in, std::size_t in_stride, int batch, const QTensor& weights,
+                 const nn::ConvSpec& spec, const Requant& rq, QView& out, std::size_t out_stride,
+                 ScratchArena& scratch, sim::CostCounter* counter) {
+  if (batch == 1) {
+    conv2d_core<1>(in, in_stride, batch, weights, spec, rq, out, out_stride, scratch, counter);
+  } else {
+    conv2d_core<0>(in, in_stride, batch, weights, spec, rq, out, out_stride, scratch, counter);
+  }
+}
+
+void simd_linear(const QView& in, std::size_t in_stride, int batch, const QTensor& weights,
+                 const Requant& rq, QView& out, std::size_t out_stride, ScratchArena& scratch,
+                 sim::CostCounter* counter) {
+  check(in.rank == 2 && in.shape[0] == 1, "simd_linear: input must be 1xF");
+  check(batch >= 1, "simd_linear: batch must be >= 1");
   const int fin = in.dim(1), fout = weights.dim(0);
-  check(weights.dim(1) == fin, "simd_linear_batch: shape mismatch");
+  check(weights.dim(1) == fin, "simd_linear: shape mismatch");
   out.set_shape({1, fout});
   out.bits = rq.out.bits;
   out.is_signed = rq.out.is_signed;
@@ -351,21 +266,12 @@ void simd_linear_batch(const QView& in, std::size_t in_stride, int batch, const 
   }
 }
 
-std::size_t simd_conv_scratch_bytes(const nn::ConvSpec& spec) {
-  return ScratchArena::bytes_for<int16_t>(static_cast<std::size_t>(spec.in_ch / spec.groups) *
-                                          spec.kh * spec.kw);
-}
-
-std::size_t simd_linear_scratch_bytes(int in_features) {
-  return ScratchArena::bytes_for<int16_t>(static_cast<std::size_t>(in_features));
-}
-
-std::size_t simd_conv_scratch_bytes_batch(const nn::ConvSpec& spec, int batch) {
+std::size_t simd_conv_scratch_bytes(const nn::ConvSpec& spec, int batch) {
   return ScratchArena::bytes_for<int16_t>(static_cast<std::size_t>(spec.in_ch / spec.groups) *
                                           spec.kh * spec.kw * static_cast<std::size_t>(batch));
 }
 
-std::size_t simd_linear_scratch_bytes_batch(int in_features, int batch) {
+std::size_t simd_linear_scratch_bytes(int in_features, int batch) {
   return ScratchArena::bytes_for<int16_t>(static_cast<std::size_t>(in_features) *
                                           static_cast<std::size_t>(batch));
 }

@@ -32,7 +32,7 @@
 //
 // All cores draw temporaries exclusively from the caller's ScratchArena;
 // the *_scratch_bytes helpers report the exact upper bound the backends
-// advertise through KernelBackend::scratch_bytes().
+// advertise through KernelBackend::scratch_bytes_batch().
 #pragma once
 
 #include "core/arena.h"
@@ -42,28 +42,43 @@
 
 namespace bswp::kernels::simd {
 
+// One core per layer type, over arena slots at a fixed per-image element
+// stride (image b reads `in.data + b * in_stride`, writes
+// `out.data + b * out_stride`; the views describe image 0); batch 1 is the
+// single-image case. The conv/linear cores stage all N im2col columns per
+// (position, group) and sweep each 4-wide AVX2 filter tile across the whole
+// batch, loading every weight row once per batch instead of once per image;
+// the bit-serial cores keep the LUT rows and index gathers hot across
+// images. Per-image dot products do not depend on the batch, so results and
+// CostCounter tallies are byte-identical to `batch` single-image calls.
+
 /// Vectorized int8 convolution into `out`; arguments mirror
-/// kernels::baseline_conv2d plus the scratch arena for the column buffer.
-void simd_conv2d(const QView& in, const QTensor& weights, const nn::ConvSpec& spec,
-                 const Requant& rq, QView& out, ScratchArena& scratch,
-                 sim::CostCounter* counter);
+/// kernels::baseline_conv2d plus the scratch arena for the column buffers.
+void simd_conv2d(const QView& in, std::size_t in_stride, int batch, const QTensor& weights,
+                 const nn::ConvSpec& spec, const Requant& rq, QView& out, std::size_t out_stride,
+                 ScratchArena& scratch, sim::CostCounter* counter);
 
 /// Vectorized int8 fully-connected layer into `out`.
-void simd_linear(const QView& in, const QTensor& weights, const Requant& rq, QView& out,
-                 ScratchArena& scratch, sim::CostCounter* counter);
+void simd_linear(const QView& in, std::size_t in_stride, int batch, const QTensor& weights,
+                 const Requant& rq, QView& out, std::size_t out_stride, ScratchArena& scratch,
+                 sim::CostCounter* counter);
 
 /// Widened bit-serial pooled convolution into `out`. `variant` only selects
 /// which scalar variant's cost counters to tally — every variant computes
-/// the same sums, and this core always precomputes the full pool.
-void simd_bitserial_conv2d(const QView& in, const PackedIndices& indices,
-                           const pool::DotLut& lut, const nn::ConvSpec& spec, const Requant& rq,
-                           BitSerialVariant variant, QView& out, ScratchArena& scratch,
+/// the same sums, and this core always precomputes the full pool. The input
+/// layout follows the batch size: one image gathers channel groups from CHW,
+/// a batch is first restaged HWC (see simd_bitserial_conv_scratch_bytes).
+void simd_bitserial_conv2d(const QView& in, std::size_t in_stride, int batch,
+                           const PackedIndices& indices, const pool::DotLut& lut,
+                           const nn::ConvSpec& spec, const Requant& rq, BitSerialVariant variant,
+                           QView& out, std::size_t out_stride, ScratchArena& scratch,
                            sim::CostCounter* counter);
 
 /// Widened bit-serial pooled fully-connected layer into `out`.
-void simd_bitserial_linear(const QView& in, const PackedIndices& indices,
-                           const pool::DotLut& lut, const Requant& rq,
-                           BitSerialVariant variant, QView& out, ScratchArena& scratch,
+void simd_bitserial_linear(const QView& in, std::size_t in_stride, int batch,
+                           const PackedIndices& indices, const pool::DotLut& lut,
+                           const Requant& rq, BitSerialVariant variant, QView& out,
+                           std::size_t out_stride, ScratchArena& scratch,
                            sim::CostCounter* counter);
 
 /// 64-bit-word XNOR popcount core; drop-in for binary::xnor_conv2d_counts
@@ -72,66 +87,21 @@ void simd_xnor_conv2d_counts(const uint32_t* in_bits, int in_ch, int h, int w,
                              const uint32_t* weight_bits, const nn::ConvSpec& spec,
                              int32_t* counts, sim::CostCounter* counter);
 
-// --- batched cores -----------------------------------------------------------
-//
-// Batch-N forms over arena slots at a fixed per-image element stride (image
-// b reads `in.data + b * in_stride`, writes `out.data + b * out_stride`; the
-// views describe image 0). The conv/linear cores stage all N im2col columns
-// per (position, group) and sweep each 4-wide AVX2 filter tile across the
-// whole batch, loading every weight row once per batch instead of once per
-// image; the bit-serial cores keep the LUT rows and index gathers hot across
-// images. Per-image dot products are unchanged, so results and CostCounter
-// tallies are byte-identical to `batch` per-image calls.
+/// Scratch bytes simd_conv2d draws for `batch` images (one im2col column
+/// per image).
+std::size_t simd_conv_scratch_bytes(const nn::ConvSpec& spec, int batch);
 
-/// Batched vectorized int8 convolution (see block comment above).
-void simd_conv2d_batch(const QView& in, std::size_t in_stride, int batch, const QTensor& weights,
-                       const nn::ConvSpec& spec, const Requant& rq, QView& out,
-                       std::size_t out_stride, ScratchArena& scratch, sim::CostCounter* counter);
+/// Scratch bytes simd_linear draws (one shifted copy of each input row).
+std::size_t simd_linear_scratch_bytes(int in_features, int batch);
 
-/// Batched vectorized int8 fully-connected layer (see block comment above).
-void simd_linear_batch(const QView& in, std::size_t in_stride, int batch, const QTensor& weights,
-                       const Requant& rq, QView& out, std::size_t out_stride,
-                       ScratchArena& scratch, sim::CostCounter* counter);
+/// Scratch bytes simd_bitserial_linear draws: the batch-wide accumulator
+/// array plus the precomputed pool values (shared across images).
+std::size_t simd_bitserial_linear_scratch_bytes(int out_ch, int pool_size, int batch);
 
-/// Batched widened bit-serial pooled convolution (see block comment above).
-void simd_bitserial_conv2d_batch(const QView& in, std::size_t in_stride, int batch,
-                                 const PackedIndices& indices, const pool::DotLut& lut,
-                                 const nn::ConvSpec& spec, const Requant& rq,
-                                 BitSerialVariant variant, QView& out, std::size_t out_stride,
-                                 ScratchArena& scratch, sim::CostCounter* counter);
-
-/// Batched widened bit-serial pooled fully-connected layer.
-void simd_bitserial_linear_batch(const QView& in, std::size_t in_stride, int batch,
-                                 const PackedIndices& indices, const pool::DotLut& lut,
-                                 const Requant& rq, BitSerialVariant variant, QView& out,
-                                 std::size_t out_stride, ScratchArena& scratch,
-                                 sim::CostCounter* counter);
-
-/// Scratch bytes simd_conv2d draws (one im2col column per group).
-std::size_t simd_conv_scratch_bytes(const nn::ConvSpec& spec);
-
-/// Scratch bytes simd_linear draws (one shifted copy of the input row).
-std::size_t simd_linear_scratch_bytes(int in_features);
-
-/// Scratch bytes the bit-serial cores draw (accumulators + precomputed pool
-/// values + channel-group staging); covers both conv and linear.
-std::size_t simd_bitserial_scratch_bytes(int out_ch, int pool_size, int group_size);
-
-/// Scratch of the batched conv core (`batch` im2col columns side by side).
-std::size_t simd_conv_scratch_bytes_batch(const nn::ConvSpec& spec, int batch);
-
-/// Scratch of the batched linear core (`batch` shifted input rows).
-std::size_t simd_linear_scratch_bytes_batch(int in_features, int batch);
-
-/// Scratch of the batched bit-serial linear core (batch-wide accumulator
-/// array; pool values are shared across images).
-std::size_t simd_bitserial_scratch_bytes_batch(int out_ch, int pool_size, int group_size,
-                                               int batch);
-
-/// Scratch of the batched bit-serial conv core: batch-wide accumulators plus
-/// the batch's HWC-staged input windows (every channel-group read in the hot
-/// context loop becomes one contiguous row instead of G strided loads).
-std::size_t simd_bitserial_conv_scratch_bytes_batch(const nn::ConvSpec& spec, int in_h, int in_w,
-                                                    int out_ch, int pool_size, int batch);
+/// Scratch bytes simd_bitserial_conv2d draws for an in_h x in_w input: the
+/// linear core's buffers plus the input staging — one channel-group row for
+/// a single image, the whole batch's input windows in HWC layout otherwise.
+std::size_t simd_bitserial_conv_scratch_bytes(const nn::ConvSpec& spec, int in_h, int in_w,
+                                              int pool_size, int group_size, int batch);
 
 }  // namespace bswp::kernels::simd

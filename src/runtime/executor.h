@@ -6,14 +6,16 @@
 // zero heap allocations: activations are written into fixed arena slots
 // through QViews and temporaries come from a bump-reset ScratchArena.
 //
-// Batched execution: an Executor built with max_batch > 1 plans every
-// activation slot with a batch dimension (image i of plan p lives at
-// views[p].data + i * p.out_elems()) and run_batch_view() walks the plan
-// list ONCE for the whole batch, handing each backend an ExecContext with
-// batch = N. Backends with a batched core amortize their stationary operand
-// (weights, LUT residency, im2row tiles) across the batch; the rest fall
-// back to a per-image loop. Either way the results are byte-identical to N
-// sequential run_view() calls.
+// One plan walk: run_view(), run_batch_view() and profile_layers() all walk
+// the plan list once through the same private loop, handing each backend an
+// ExecContext with batch = N (1 for a single image) and calling its one
+// entry point, KernelBackend::execute_batch. An Executor built with
+// max_batch > 1 plans every activation slot with a batch dimension (image i
+// of plan p lives at views[p].data + i * p.out_elems()). Backends with a
+// batch-strided core amortize their stationary operand (weights, LUT
+// residency, im2row tiles) across the batch; the per-image-only kinds loop.
+// Either way the results are byte-identical to N sequential run_view()
+// calls.
 //
 // This replaces the PR-1-era free functions runtime::run / run_logits /
 // resolve_backends (which allocated every activation on every call). One-off
@@ -102,6 +104,12 @@ class Executor {
   std::size_t scratch_high_water() const { return scratch_.high_water(); }
 
  private:
+  /// The plan walk behind every run: `n` images at `images`, kernel events
+  /// tallied into `counter`, or into per_layer[p] for plan p when
+  /// `per_layer` is non-null; `cancel` checked at every layer boundary.
+  void walk(const Tensor* images, int n, sim::CostCounter* counter, sim::CostCounter* per_layer,
+            const CancelToken* cancel);
+
   const CompiledNetwork* net_;
   int max_batch_ = 1;
   std::vector<const KernelBackend*> backends_;

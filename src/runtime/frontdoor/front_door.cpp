@@ -234,20 +234,20 @@ void FrontDoor::forwarder_main(int sid) {
       lock.lock();
       ++completed_;
       breaker_success_locked(st);
-      pending_done_locked();
       lock.unlock();
       p.promise.set_value(std::move(result));
       lock.lock();
+      pending_done_locked();
       continue;
     }
 
     if (client_error) {
       lock.lock();
       ++failed_;
-      pending_done_locked();
       lock.unlock();
       p.promise.set_exception(client_error);
       lock.lock();
+      pending_done_locked();
       continue;
     }
 
@@ -263,10 +263,10 @@ void FrontDoor::forwarder_main(int sid) {
     }
     if (next < 0) {
       ++failed_;
-      pending_done_locked();
       lock.unlock();
       p.promise.set_exception(shard_fault);
       lock.lock();
+      pending_done_locked();
       continue;
     }
     ShardState& nst = *shards_[static_cast<std::size_t>(next)];
@@ -290,10 +290,10 @@ void FrontDoor::forwarder_main(int sid) {
       nst.cv.notify_one();
     } else {
       ++failed_;
-      pending_done_locked();
       lock.unlock();
       p.promise.set_exception(client_error);
       lock.lock();
+      pending_done_locked();
     }
   }
 }

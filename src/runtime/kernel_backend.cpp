@@ -5,15 +5,10 @@
 
 namespace bswp::runtime {
 
-void KernelBackend::execute_batch(const ExecContext& ctx) const {
-  if (ctx.batch <= 1) {
-    execute(ctx);
-    return;
-  }
-  // Per-image loop: shift every view by the per-image stride and run the
-  // scalar path. Fixed-capacity input staging keeps this allocation-free.
+void for_each_image(const ExecContext& ctx, void (*run_one)(const ExecContext&)) {
+  // Fixed-capacity input staging keeps the loop allocation-free.
   constexpr int kMaxInputs = 4;
-  check(ctx.num_inputs <= kMaxInputs, "execute_batch: too many plan inputs");
+  check(ctx.num_inputs <= kMaxInputs, "for_each_image: too many plan inputs");
   kernels::QView in_views[kMaxInputs];
   const kernels::QView* in_ptrs[kMaxInputs];
   for (int k = 0; k < ctx.num_inputs; ++k) in_ptrs[k] = &in_views[k];
@@ -27,16 +22,16 @@ void KernelBackend::execute_batch(const ExecContext& ctx) const {
     }
     out = *ctx.out;
     out.data = ctx.out->data + static_cast<std::size_t>(i) * out_stride;
-    ExecContext sub{ctx.net,         ctx.plan,
+    ExecContext one{ctx.net,         ctx.plan,
                     ctx.image == nullptr ? nullptr : ctx.image + i,
                     in_ptrs,         ctx.num_inputs,
                     &out,            ctx.scratch,
                     ctx.counter};
     ctx.scratch->reset();
-    execute(sub);
+    run_one(one);
   }
   // Stamp the base view with image 0's pointer and the (identical across
-  // images) metadata the last execute filled in.
+  // images) metadata the last image filled in.
   out.data = ctx.out->data;
   *ctx.out = out;
 }

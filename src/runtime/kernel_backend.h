@@ -7,13 +7,15 @@
 // here; new backends (SIMD hosts, sharded/cached server execution, hardware
 // offload) plug in without touching the Executor loop in executor.cpp.
 //
-// Execution contract (arena model): execute(ctx) writes the layer's result
-// into `ctx.out` — a view over a MemoryPlanner-assigned slot of the
-// Executor's arena — and draws any temporaries from `ctx.scratch`, a bump
-// arena reset between layers. A backend must write every element of its
-// output, fill the view's shape/quantization metadata, and report its peak
-// scratch need via scratch_bytes() so the Executor can size the arena once;
-// a warm Executor::run() then performs zero heap allocations.
+// Execution contract (arena model): execute_batch(ctx) writes the layer's
+// result for ctx.batch images into `ctx.out` — a view over a
+// MemoryPlanner-assigned slot of the Executor's arena — and draws any
+// temporaries from `ctx.scratch`, a bump arena reset between layers. Batch 1
+// is the single-image case; there is no separate per-image entry point. A
+// backend must write every element of its output, fill the view's
+// shape/quantization metadata, and report its peak scratch need via
+// scratch_bytes_batch() so the Executor can size the arena once; a warm
+// Executor run then performs zero heap allocations.
 //
 // Variant keying: plans whose kind carries a BitSerialVariant resolve with
 // that variant; every other kind resolves with kAnyVariant. Lookup tries the
@@ -56,15 +58,19 @@ struct ExecContext {
   /// Per-layer scratch (reset before each execute call).
   ScratchArena* scratch = nullptr;
   sim::CostCounter* counter = nullptr;
-  /// Number of images in this call (execute_batch only; execute sees 1).
-  /// Image i of a plan p lives at `view.data + i * p.out_elems()` — the
-  /// planned slot capacity is the per-image element stride, and the base
-  /// views (`inputs`, `out`) describe image 0. For kInput plans, `image`
-  /// points at a contiguous array of `batch` Tensors.
+  /// Number of images in this call (1 for a single-image run). Image i of a
+  /// plan p lives at `view.data + i * p.out_elems()` — the planned slot
+  /// capacity is the per-image element stride, and the base views
+  /// (`inputs`, `out`) describe image 0. For kInput plans, `image` points at
+  /// a contiguous array of `batch` Tensors.
   int batch = 1;
 
   /// Activation produced by the plan's i-th input (image 0 when batched).
   const kernels::QView& input(int i) const { return *inputs[i]; }
+  /// Per-image element stride of the plan's first input inside the arena.
+  std::size_t input_stride() const {
+    return net.plans[static_cast<std::size_t>(plan.inputs[0])].out_elems();
+  }
 };
 
 /// One executable kernel implementation.
@@ -73,37 +79,49 @@ class KernelBackend {
   virtual ~KernelBackend() = default;
   /// Stable identifier, e.g. "baseline/conv" or "bitserial/cached".
   virtual const char* name() const = 0;
-  /// Execute `ctx.plan`, writing the result into `ctx.out` and drawing
-  /// temporaries from `ctx.scratch` (never the heap).
-  virtual void execute(const ExecContext& ctx) const = 0;
   /// Execute `ctx.plan` for `ctx.batch` images laid out contiguously at the
-  /// per-image stride (see ExecContext::batch). Backends override this to
-  /// amortize stationary work (weight loads, LUT residency, im2row tiles)
-  /// across the batch; the override MUST stay byte-identical to running
-  /// execute() once per image — same int32 accumulation order, same requant,
-  /// same CostCounter tallies (exactly batch x the per-image counts). The
-  /// default loops execute() per image, resetting scratch between images.
-  virtual void execute_batch(const ExecContext& ctx) const;
-  /// Upper bound on the scratch bytes execute() draws for this plan. The
-  /// MemoryPlanner sizes the Executor's scratch region from the maximum over
-  /// all plans; an under-report makes the ScratchArena throw at run time.
-  /// Default: 0 — correct only for a backend that draws nothing from
-  /// ctx.scratch (an over-report merely wastes arena bytes).
-  virtual std::size_t scratch_bytes(const CompiledNetwork& net, const LayerPlan& plan) const {
-    (void)net;
-    (void)plan;
-    return 0;
-  }
+  /// per-image stride (see ExecContext::batch), writing the result into
+  /// `ctx.out` and drawing temporaries from `ctx.scratch` (never the heap).
+  /// Cores with stationary operands (weights, LUT residency, im2row tiles)
+  /// amortize them across the batch; the result MUST stay byte-identical to
+  /// running each image alone — same int32 accumulation order, same
+  /// requant, same CostCounter tallies (exactly batch x the per-image
+  /// counts). Per-image-only kinds loop with for_each_image().
+  virtual void execute_batch(const ExecContext& ctx) const = 0;
   /// Upper bound on the scratch bytes execute_batch() draws for `batch`
-  /// images. Default: the per-image bound — correct for the default
-  /// per-image loop and for any batched core that reuses one image's
-  /// staging buffers; a core staging batch-wide state must override.
+  /// images of this plan. The MemoryPlanner sizes the Executor's scratch
+  /// region from the maximum over all plans; an under-report makes the
+  /// ScratchArena throw at run time. Default: 0 — correct only for a backend
+  /// that draws nothing from ctx.scratch (an over-report merely wastes arena
+  /// bytes).
   virtual std::size_t scratch_bytes_batch(const CompiledNetwork& net, const LayerPlan& plan,
                                           int batch) const {
+    (void)net;
+    (void)plan;
     (void)batch;
-    return scratch_bytes(net, plan);
+    return 0;
+  }
+
+  // Batch-1 forwarders. Nothing in the library calls these, and no built-in
+  // backend overrides them; they exist only for wrappers that override all
+  // four methods and forward each to the backend they wrap (the per-plan
+  // tracer in perfbench/src/trace.cpp).
+  virtual void execute(const ExecContext& ctx) const {
+    ExecContext one = ctx;
+    one.batch = 1;
+    execute_batch(one);
+  }
+  virtual std::size_t scratch_bytes(const CompiledNetwork& net, const LayerPlan& plan) const {
+    return scratch_bytes_batch(net, plan, 1);
   }
 };
+
+/// Runs `run_one` once per image of `ctx`, each time with a batch-1 context
+/// whose views (inputs, output, image) are shifted to that image and with
+/// the scratch arena reset. The execute_batch() of kinds that have no
+/// cross-image work to share (input, flatten, relu, maxpool, gap, add).
+/// Allocation-free; the base output view ends up describing image 0.
+void for_each_image(const ExecContext& ctx, void (*run_one)(const ExecContext&));
 
 /// Wildcard variant key for plan kinds that carry no bit-serial variant.
 constexpr int kAnyVariant = -1;

@@ -56,11 +56,10 @@ class MemoryPlanner {
   static constexpr std::size_t kAlign = 64;
 
   /// Plan the host Executor's arena: int16 activation slots + the resolved
-  /// backends' scratch_bytes high-water. `backends` must parallel net.plans.
-  /// With `batch` > 1 every activation slot holds `batch` images laid out at
-  /// the per-image stride (plan.out_elems() elements) and scratch is sized
-  /// from scratch_bytes_batch — liveness and in-place logic are unchanged,
-  /// the slots just scale by the batch dimension.
+  /// backends' scratch_bytes_batch(batch) high-water. `backends` must
+  /// parallel net.plans. Every activation slot holds `batch` images laid out
+  /// at the per-image stride (plan.out_elems() elements) — liveness and
+  /// in-place logic do not depend on the batch, the slots just scale by it.
   static MemoryPlan plan_host(const CompiledNetwork& net,
                               const std::vector<const KernelBackend*>& backends, int batch = 1);
 

@@ -769,8 +769,7 @@ void InferenceServer::worker_main(int wid) {
     std::exception_ptr build_error;
     if (exec == nullptr) {
       try {
-        exec = std::make_unique<Executor>(
-            *m.net, options_.batched_execution ? m.config.batching.max_batch : 1);
+        exec = std::make_unique<Executor>(*m.net, m.config.batching.max_batch);
         built = true;
       } catch (...) {
         build_error = std::current_exception();
@@ -809,12 +808,27 @@ void InferenceServer::worker_main(int wid) {
           "InferenceServer: in-flight work shed at a layer boundary (deadline "
           "unreachable)"));
     };
-    const bool batched = options_.batched_execution && build_error == nullptr &&
-                         task.requests.size() > 1 &&
-                         static_cast<int>(task.requests.size()) <= exec->max_batch();
+    // Per-request execution: the path for a lone request, and the fallback
+    // that isolates a failing request to its own future when a batched call
+    // throws (batch neighbours are other clients' requests). Solo runs are
+    // governed by the request's own deadline.
+    const auto run_solo = [&](const Tensor& image, Clock::time_point deadline, Outcome& o) {
+      arm_token(deadline, 1);
+      const Clock::time_point r0 = clock_->now();
+      try {
+        o.logits = exec->run(image, nullptr, &cancel);
+        o.exec_us = micros_between(r0, clock_->now());
+        o.ran = true;
+      } catch (const ExecutionCancelled&) {
+        o.shed = true;
+        o.error = shed_error();
+      } catch (...) {
+        o.error = std::current_exception();
+      }
+    };
     if (build_error != nullptr) {
       for (Outcome& o : outcomes) o.error = build_error;
-    } else if (batched) {
+    } else if (task.requests.size() > 1) {
       // Up-front shape validation: a bad request fails its own future here
       // and never enters the batch, so its neighbours still ride the single
       // batched executor call.
@@ -869,82 +883,59 @@ void InferenceServer::worker_main(int wid) {
             o.error = shed_error();
           }
         } else {
-          // The batched call failed as a whole; per-image fallback isolates
-          // the failing request to its own future. Solo runs are governed by
-          // each request's own deadline.
           for (std::size_t k = 0; k < staging.size(); ++k) {
-            Outcome& o = outcomes[staged_req[k]];
-            arm_token(task.requests[staged_req[k]].deadline, 1);
-            const Clock::time_point r0 = clock_->now();
-            try {
-              o.logits = exec->run(staging[k], nullptr, &cancel);
-              o.exec_us = micros_between(r0, clock_->now());
-              o.ran = true;
-            } catch (const ExecutionCancelled&) {
-              o.shed = true;
-              o.error = shed_error();
-            } catch (...) {
-              o.error = std::current_exception();
-            }
+            run_solo(staging[k], task.requests[staged_req[k]].deadline, outcomes[staged_req[k]]);
           }
         }
-        cancel.disarm();
       }
-    } else {
-      for (std::size_t i = 0; i < task.requests.size(); ++i) {
-        Outcome& o = outcomes[i];
-        // A bad request (e.g. wrong input shape) fails its own future only;
-        // batch neighbours are other clients' requests.
-        arm_token(task.requests[i].deadline, 1);
-        const Clock::time_point r0 = clock_->now();
-        try {
-          o.logits = exec->run(task.requests[i].image, nullptr, &cancel);
-          o.exec_us = micros_between(r0, clock_->now());
-          o.ran = true;
-        } catch (const ExecutionCancelled&) {
-          o.shed = true;
-          o.error = shed_error();
-        } catch (...) {
-          o.error = std::current_exception();
-        }
-      }
-      cancel.disarm();
+    } else if (!task.requests.empty()) {
+      run_solo(task.requests[0].image, task.requests[0].deadline, outcomes[0]);
     }
+    cancel.disarm();
     const Clock::time_point done = clock_->now();
     for (std::size_t i = 0; i < task.requests.size(); ++i) {
       outcomes[i].e2e_us = micros_between(task.requests[i].arrival, done);
     }
 
-    // Fulfill promises before reporting quiescence so drain() returning
-    // implies every drained future is ready.
     std::size_t ok = 0;
     std::size_t shed_n = 0;
     std::size_t n_lat = 0;
     double e2e_sum_us = 0.0;
     double exec_wall_us = 0.0;
     std::size_t exec_images = 0;
-    for (std::size_t i = 0; i < task.requests.size(); ++i) {
-      if (outcomes[i].shed) {
+    for (const Outcome& o : outcomes) {
+      if (o.shed) {
         ++shed_n;  // shed mid-run records no latency sample (like a queue purge)
       } else {
-        e2e_sum_us += outcomes[i].e2e_us;
+        e2e_sum_us += o.e2e_us;
         ++n_lat;
       }
-      if (outcomes[i].ran) {
-        exec_wall_us += outcomes[i].exec_us;
+      if (o.ran) {
+        exec_wall_us += o.exec_us;
         ++exec_images;
       }
+      if (o.error == nullptr) ++ok;
+    }
+
+    // The admission ledger, then the futures, then the rest of the
+    // bookkeeping: a stats read made after a future resolves already counts
+    // that request, only the counters sit between the run and the caller,
+    // and once drain() observes this worker idle every drained future is
+    // ready and every latency sample recorded. The locks are taken one at a
+    // time, never nested.
+    lock.lock();
+    m.adm.completed += ok;
+    m.adm.shed += shed_n;
+    m.deadline_expired += shed_n;  // in-flight sheds count with queue purges
+    m.adm.failed += task.requests.size() - ok - shed_n;
+    lock.unlock();
+    for (std::size_t i = 0; i < task.requests.size(); ++i) {
       if (outcomes[i].error != nullptr) {
         task.requests[i].promise.set_exception(outcomes[i].error);
       } else {
         task.requests[i].promise.set_value(std::move(outcomes[i].logits));
-        ++ok;
       }
     }
-
-    // Latency first (stats_mu_), counters second (mu_) — taken sequentially,
-    // never nested, and in this order so that once drain() observes the
-    // workers quiescent, every completed request's sample is recorded.
     {
       std::lock_guard<std::mutex> stats_lock(stats_mu_);
       for (const Outcome& o : outcomes) {
@@ -964,10 +955,6 @@ void InferenceServer::worker_main(int wid) {
       self.warm_bytes += exec->arena_bytes();
     }
     self.last_active = clock_->now();
-    m.adm.completed += ok;
-    m.adm.shed += shed_n;
-    m.deadline_expired += shed_n;  // in-flight sheds count with queue purges
-    m.adm.failed += task.requests.size() - ok - shed_n;
     if (exec_images > 0 && exec_wall_us > 0.0 && !m.remaining_us.empty() &&
         m.remaining_us.front() > 0.0) {
       // Calibrate the cost model against reality: EWMA of measured-over-

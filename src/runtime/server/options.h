@@ -193,16 +193,6 @@ struct ModelConfig {
 };
 
 struct ServerOptions {
-  /// Execute each formed batch as ONE batched executor call
-  /// (Executor::run_batch_view) instead of a per-request loop (default
-  /// true). Workers build their arena executors with
-  /// BatchingPolicy::max_batch activation slots, every request's input shape
-  /// is validated before the batch forms (a bad request fails its own future
-  /// and never enters the batched call), and a batched call that throws
-  /// falls back to per-image execution — logits are bit-identical either
-  /// way, so this trades nothing but wall-clock. Disable only for ablations
-  /// against the per-request dispatch loop.
-  bool batched_execution = true;
   /// Worker threads shared by every registered model (default 2, >= 1).
   /// Each worker lazily builds one arena Executor per model it actually
   /// serves, and the scheduler prefers placing a model on a worker that

@@ -26,8 +26,10 @@ namespace bswp::runtime {
 
 /// What happened to every request at and after admission; all five fields
 /// count requests. Every submitted request ends in exactly one of
-/// {rejected, shed, completed, failed}; `accepted` counts admissions, so on
-/// an idle (drained) server accepted == completed + failed + shed.
+/// {rejected, shed, completed, failed}; `accepted` counts admissions. A
+/// request is counted before its future resolves, so any stats read made
+/// after every accepted request's future has resolved (in particular, on an
+/// idle, drained server) balances: accepted == completed + failed + shed.
 struct AdmissionCounters {
   std::uint64_t accepted = 0;   // requests admitted into the model's queue
   std::uint64_t rejected = 0;   // requests refused at submit (kReject overflow

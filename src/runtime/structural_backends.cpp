@@ -16,7 +16,10 @@ namespace {
 class InputBackend : public KernelBackend {
  public:
   const char* name() const override { return "structural/input"; }
-  void execute(const ExecContext& ctx) const override {
+  void execute_batch(const ExecContext& ctx) const override { for_each_image(ctx, run_one); }
+
+ private:
+  static void run_one(const ExecContext& ctx) {
     check(ctx.image != nullptr, "engine: input plan executed without an image");
     const Tensor& img = *ctx.image;
     int c = 0, h = 0, w = 0;
@@ -53,7 +56,10 @@ class InputBackend : public KernelBackend {
 class FlattenBackend : public KernelBackend {
  public:
   const char* name() const override { return "structural/flatten"; }
-  void execute(const ExecContext& ctx) const override {
+  void execute_batch(const ExecContext& ctx) const override { for_each_image(ctx, run_one); }
+
+ private:
+  static void run_one(const ExecContext& ctx) {
     const kernels::QView& in = ctx.input(0);
     kernels::QView& out = *ctx.out;
     out.set_shape({1, static_cast<int>(in.size())});
@@ -65,7 +71,10 @@ class FlattenBackend : public KernelBackend {
 class ReluBackend : public KernelBackend {
  public:
   const char* name() const override { return "structural/relu"; }
-  void execute(const ExecContext& ctx) const override {
+  void execute_batch(const ExecContext& ctx) const override { for_each_image(ctx, run_one); }
+
+ private:
+  static void run_one(const ExecContext& ctx) {
     const kernels::QView& in = ctx.input(0);
     kernels::QView& out = *ctx.out;
     out.rank = in.rank;

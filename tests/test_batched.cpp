@@ -1,9 +1,10 @@
-// Batched execution tests: batch-N bit-identity against N sequential runs
-// across the whole model zoo (act_bits {4, 8}, both host lanes, odd batch
-// sizes), CostCounter batch-invariance (a batched run tallies exactly N x
-// the per-image counts, so MCU latency estimates never depend on serving
-// batch size), the zero-heap-allocation guarantee of the warm batched path,
-// the XNOR batched core, and the ServingPool's chunked batched steal loop.
+// Batched execution tests: batch-N bit-identity against the scalar lane run
+// one image at a time, across the whole model zoo (act_bits {4, 8}, both
+// host lanes, odd batch sizes), with CostCounter batch-invariance (a batched
+// run tallies exactly N x the per-image counts, so MCU latency estimates
+// never depend on serving batch size); the zero-heap-allocation guarantee of
+// the warm batched path, the XNOR backend on both lanes, and the
+// ServingPool's chunked batched steal loop.
 #include <gtest/gtest.h>
 
 #include <span>
@@ -75,62 +76,50 @@ bswp::Deployment make_deployment(ZooCase& c) {
 
 // --- batch-N bit-identity across the zoo -------------------------------------
 
-TEST(BatchedExecutor, ZooBatchBitIdenticalToSequentialAcrossLanesAndBits) {
-  // For every paper network, both act_bits and both host lanes: one
-  // run_batch_view over N images must produce byte-identical logits to N
-  // run_view calls on a separate executor, at batch sizes 1 (the delegation
-  // path), 3 (odd partial batch) and 8 (the planned max).
+TEST(BatchedExecutor, ZooBatchBitIdenticalToScalarSingleImageAcrossLanesAndBits) {
+  // For every paper network and both act_bits: one run_batch_view over N
+  // images on either host lane must produce byte-identical logits, and
+  // exactly N x the counter tallies, of the scalar lane run one image at a
+  // time — at batch sizes 1 (the single-image case, same code path), 3 (odd
+  // partial batch) and 8 (the planned max).
   constexpr int kMaxBatch = 8;
   uint64_t seed = 4321;
   for (const models::NamedModel& m : models::paper_models()) {
     ZooCase c = make_case(m, seed++, kMaxBatch);
     bswp::Deployment dep = make_deployment(c);
     for (int bits : {4, 8}) {
+      bswp::Session scalar = dep.act_bits(bits).host_lanes(HostLaneSelect::kScalar).compile();
+      Executor seq(scalar.network());
+      std::vector<QTensor> ref;
+      std::vector<sim::CostCounter> ref_counts(c.images.size());
+      for (std::size_t i = 0; i < c.images.size(); ++i) {
+        ref.push_back(seq.run(c.images[i], &ref_counts[i]));
+      }
+
       for (HostLaneSelect lanes : {HostLaneSelect::kScalar, HostLaneSelect::kSimd}) {
         bswp::Session s = dep.act_bits(bits).host_lanes(lanes).compile();
-        Executor seq(s.network());
-        std::vector<QTensor> ref;
-        for (const Tensor& x : c.images) ref.push_back(seq.run(x));
-
         Executor batched(s.network(), kMaxBatch);
         for (int n : {1, 3, kMaxBatch}) {
-          batched.run_batch_view(std::span<const Tensor>(c.images.data(),
-                                                         static_cast<std::size_t>(n)));
+          sim::CostCounter counts;
+          batched.run_batch_view(
+              std::span<const Tensor>(c.images.data(), static_cast<std::size_t>(n)), &counts);
+          sim::CostCounter want;
           for (int i = 0; i < n; ++i) {
-            const kernels::QView v = batched.logits_view(i);
-            const QTensor got = v.to_qtensor();
+            const QTensor got = batched.logits_view(i).to_qtensor();
             EXPECT_EQ(got.data, ref[static_cast<std::size_t>(i)].data)
                 << m.name << " bits=" << bits << " lanes=" << static_cast<int>(lanes)
                 << " batch=" << n << " image=" << i;
             EXPECT_EQ(got.scale, ref[static_cast<std::size_t>(i)].scale);
+            want.merge(ref_counts[static_cast<std::size_t>(i)]);
+          }
+          for (int e = 0; e < sim::kNumEvents; ++e) {
+            const auto ev = static_cast<sim::Event>(e);
+            EXPECT_EQ(counts.count(ev), want.count(ev))
+                << m.name << " bits=" << bits << " lanes=" << static_cast<int>(lanes)
+                << " batch=" << n << " event " << sim::event_name(ev);
           }
         }
       }
-    }
-  }
-}
-
-TEST(BatchedExecutor, CounterTalliesExactlyBatchTimesPerImage) {
-  // The batched cores amortize real work but must NOT amortize the modeled
-  // MCU tallies: a batch-N run tallies exactly N x the per-image counts for
-  // every event, so Session::estimate_latency stays batch-invariant. (Counts
-  // are closed-form in geometry and pool indices, never in activation
-  // values, so one image's counter is every image's counter.)
-  ZooCase c = make_case(models::paper_models()[0], 77, 3);
-  bswp::Deployment dep = make_deployment(c);
-  for (HostLaneSelect lanes : {HostLaneSelect::kScalar, HostLaneSelect::kSimd}) {
-    bswp::Session s = dep.act_bits(4).host_lanes(lanes).compile();
-    Executor seq(s.network());
-    sim::CostCounter one;
-    seq.run_view(c.images[0], &one);
-
-    Executor batched(s.network(), 3);
-    sim::CostCounter three;
-    batched.run_batch_view(std::span<const Tensor>(c.images.data(), 3), &three);
-    for (int e = 0; e < sim::kNumEvents; ++e) {
-      const auto ev = static_cast<sim::Event>(e);
-      EXPECT_EQ(three.count(ev), 3 * one.count(ev))
-          << "lanes=" << static_cast<int>(lanes) << " event " << sim::event_name(ev);
     }
   }
 }
@@ -191,7 +180,7 @@ CompiledNetwork binary_net(const Tensor& w, const nn::ConvSpec& spec) {
   return net;
 }
 
-TEST(BatchedExecutor, XnorBatchBitIdenticalAndCounterInvariant) {
+TEST(BatchedExecutor, XnorBatchBitIdenticalToScalarAndCounterInvariantOnBothLanes) {
   nn::ConvSpec spec;
   spec.in_ch = 4;
   spec.out_ch = 2;
@@ -213,22 +202,29 @@ TEST(BatchedExecutor, XnorBatchBitIdenticalAndCounterInvariant) {
     images.push_back(std::move(x));
   }
 
-  Executor seq(net);
+  // Reference: the scalar XNOR backend, one image at a time.
+  CompiledNetwork scalar_net = net;
+  scalar_net.plans[1].lane = HostLane::kScalar;
+  Executor seq(scalar_net);
   sim::CostCounter one;
   std::vector<QTensor> ref;
   for (const Tensor& x : images) ref.push_back(seq.run(x));
   seq.run_view(images[0], &one);
 
-  Executor batched(net, 3);
-  sim::CostCounter three;
-  batched.run_batch_view(std::span<const Tensor>(images.data(), 3), &three);
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(batched.logits_view(i).to_qtensor().data, ref[static_cast<std::size_t>(i)].data)
-        << "image " << i;
-  }
-  for (int e = 0; e < sim::kNumEvents; ++e) {
-    const auto ev = static_cast<sim::Event>(e);
-    EXPECT_EQ(three.count(ev), 3 * one.count(ev)) << "event " << sim::event_name(ev);
+  for (HostLane lane : {HostLane::kScalar, HostLane::kSimd}) {
+    net.plans[1].lane = lane;
+    Executor batched(net, 3);
+    sim::CostCounter three;
+    batched.run_batch_view(std::span<const Tensor>(images.data(), 3), &three);
+    for (int i = 0; i < 3; ++i) {
+      EXPECT_EQ(batched.logits_view(i).to_qtensor().data, ref[static_cast<std::size_t>(i)].data)
+          << "lane " << host_lane_name(lane) << " image " << i;
+    }
+    for (int e = 0; e < sim::kNumEvents; ++e) {
+      const auto ev = static_cast<sim::Event>(e);
+      EXPECT_EQ(three.count(ev), 3 * one.count(ev))
+          << "lane " << host_lane_name(lane) << " event " << sim::event_name(ev);
+    }
   }
 }
 

@@ -391,6 +391,43 @@ TEST(FrontDoor, FailoverLosesNoAcceptedRequestWhenShardDiesMidRun) {
   EXPECT_GT(takeovers, 0u);
 }
 
+TEST(FrontDoor, RepeatedFailoverThenDrainLeavesNoFutureUnresolved) {
+  // drain() returns once the pending count reaches zero, so a request must
+  // leave that count only after its promise is fulfilled; a forwarder that
+  // retired it first would let a racing drain() return with the last future
+  // still unresolved. Spinning threads load the cores so that a forwarder
+  // preempted inside such a window is likely somewhere across the rounds.
+  SmallModel& m = small_model();
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> busy;
+  for (int i = 0; i < 3; ++i) {
+    busy.emplace_back([&] {
+      while (!stop.load(std::memory_order_relaxed)) {
+      }
+    });
+  }
+  constexpr int kRounds = 4, kDrainsPerRound = 200;
+  int unresolved = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    FrontDoor door(quick_options(/*shards=*/2, /*cache_capacity=*/0, HealthPolicy::kFailover));
+    door.register_model("resnet-s", m.session.network());
+    const int victim = door.shard_for("resnet-s", m.images[0]);
+    for (int d = 0; d < kDrainsPerRound; ++d) {
+      // One request per drain: drain() and the forwarder then wake on the
+      // same shard completion, which is exactly the race in question.
+      std::future<QTensor> f =
+          door.submit("resnet-s", m.images[static_cast<std::size_t>(d) % m.images.size()]);
+      if (d == kDrainsPerRound / 2) door.stop_shard(victim);
+      door.drain();
+      if (f.wait_for(0s) != std::future_status::ready) ++unresolved;
+    }
+  }
+  stop.store(true);
+  for (std::thread& t : busy) t.join();
+  EXPECT_EQ(unresolved, 0) << "futures unresolved after " << kRounds * kDrainsPerRound
+                           << " drain() calls";
+}
+
 TEST(FrontDoor, FailFastRefusesOnlyTheDeadOwnersKeys) {
   SmallModel& m = small_model();
   FrontDoor door(quick_options(/*shards=*/2, /*cache_capacity=*/0,

@@ -59,14 +59,16 @@ TEST(Registry, DuplicateRegistrationRejectedUnlessReplacing) {
   class Dummy : public KernelBackend {
    public:
     const char* name() const override { return "test/dummy"; }
-    void execute(const ExecContext& ctx) const override {
-      const kernels::QView& in = ctx.input(0);
-      kernels::QView& out = *ctx.out;
-      out.rank = in.rank;
-      for (int i = 0; i < in.rank; ++i) out.shape[i] = in.shape[i];
-      out.len = in.len;
-      out.set_meta(in);
-      std::copy(in.data, in.data + in.len, out.data);
+    void execute_batch(const ExecContext& ctx) const override {
+      for_each_image(ctx, [](const ExecContext& one) {
+        const kernels::QView& in = one.input(0);
+        kernels::QView& out = *one.out;
+        out.rank = in.rank;
+        for (int i = 0; i < in.rank; ++i) out.shape[i] = in.shape[i];
+        out.len = in.len;
+        out.set_meta(in);
+        std::copy(in.data, in.data + in.len, out.data);
+      });
     }
   };
 
@@ -90,12 +92,13 @@ TEST(Registry, CustomBackendExecutesThroughEngine) {
     const KernelBackend* inner = nullptr;
     mutable int calls = 0;
     const char* name() const override { return "test/counting-maxpool"; }
-    void execute(const ExecContext& ctx) const override {
+    void execute_batch(const ExecContext& ctx) const override {
       ++calls;
-      inner->execute(ctx);
+      inner->execute_batch(ctx);
     }
-    std::size_t scratch_bytes(const CompiledNetwork& net, const LayerPlan& plan) const override {
-      return inner->scratch_bytes(net, plan);
+    std::size_t scratch_bytes_batch(const CompiledNetwork& net, const LayerPlan& plan,
+                                    int batch) const override {
+      return inner->scratch_bytes_batch(net, plan, batch);
     }
   };
 

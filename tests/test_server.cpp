@@ -770,13 +770,18 @@ TEST(InferenceServer, AutoscalerEvictsParkedExecutorsAndRewarmsBitIdentical) {
   EXPECT_GT(evicted.warm_bytes, 0u);  // the live worker keeps its arena
 
   // Phase 3: re-warm. New backlog scales back up; the evicted worker
-  // rebuilds (one more affinity miss) and serves bit-identical logits.
+  // rebuilds (one more affinity miss) and serves bit-identical logits. Each
+  // step submits a burst, so a backlog (> 1 queued per live worker) forms
+  // whether or not the live worker happens to keep up with one request per
+  // step.
   std::vector<std::future<QTensor>> futs3;
   std::size_t next = 0;
   ASSERT_TRUE(eventually([&] {
     if (server.model_stats("m").affinity_misses >= 3) return true;  // rebuilt
-    futs3.push_back(server.submit("m", m.images[next % m.images.size()]));
-    ++next;
+    for (int k = 0; k < 4; ++k) {
+      futs3.push_back(server.submit("m", m.images[next % m.images.size()]));
+      ++next;
+    }
     clock.advance(1ms);
     return false;
   })) << "the evicted worker never re-warmed";
@@ -1035,37 +1040,31 @@ TEST(InferenceServer, UnknownModelAndDuplicateRegistrationThrow) {
 
 // --- batched dispatch --------------------------------------------------------
 
-TEST(InferenceServer, BatchedAndPerImageDispatchBitIdentical) {
-  // The one-call batched dispatch (default) must produce byte-identical
-  // logits to the per-request dispatch loop it replaced; batched_execution
-  // is the ablation toggle between them.
+TEST(InferenceServer, BatchedDispatchBitIdenticalToSessionRun) {
+  // Each formed batch runs as one batched executor call and must produce
+  // byte-identical logits to single-image Session::run.
   SmallModel& m = small_model();
-  for (bool batched : {true, false}) {
-    ServerOptions so = quick_options(/*workers=*/1, /*max_batch=*/4, 50ms);
-    so.batched_execution = batched;
-    InferenceServer server(so);
-    server.register_model("m", m.session.network());
-    std::vector<std::future<QTensor>> futs;
-    for (int i = 0; i < 8; ++i) futs.push_back(server.submit("m", m.images[i]));
-    server.drain();
-    for (int i = 0; i < 8; ++i) {
-      EXPECT_EQ(futs[static_cast<std::size_t>(i)].get().data, m.refs[static_cast<std::size_t>(i)].data)
-          << "batched=" << batched << " image " << i;
-    }
-    const ServerStats s = server.stats();
-    EXPECT_EQ(s.admission.completed, 8u);
-    EXPECT_EQ(s.admission.failed, 0u);
+  InferenceServer server(quick_options(/*workers=*/1, /*max_batch=*/4, 50ms));
+  server.register_model("m", m.session.network());
+  std::vector<std::future<QTensor>> futs;
+  for (int i = 0; i < 8; ++i) futs.push_back(server.submit("m", m.images[i]));
+  server.drain();
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_EQ(futs[static_cast<std::size_t>(i)].get().data, m.refs[static_cast<std::size_t>(i)].data)
+        << "image " << i;
   }
+  const ServerStats s = server.stats();
+  EXPECT_EQ(s.admission.completed, 8u);
+  EXPECT_EQ(s.admission.failed, 0u);
+  EXPECT_GT(s.mean_batch_size, 1.0);  // the batched call actually ran
 }
 
 TEST(InferenceServer, BadShapeRejectedBeforeBatchingUnderBatchedDispatch) {
-  // Pre-dispatch validation: with batched execution on, a wrong-shape
-  // request must fail its own future (same error as the engine's) while its
-  // batch neighbours ride the single batched executor call.
+  // Pre-dispatch validation: a wrong-shape request must fail its own future
+  // (same error as the engine's) while its batch neighbours ride the single
+  // batched executor call.
   SmallModel& m = small_model();
-  ServerOptions so = quick_options(/*workers=*/1, /*max_batch=*/8, 50ms);
-  so.batched_execution = true;
-  InferenceServer server(so);
+  InferenceServer server(quick_options(/*workers=*/1, /*max_batch=*/8, 50ms));
   server.register_model("m", m.session.network());
 
   std::future<QTensor> good0 = server.submit("m", m.images[0]);
@@ -1083,6 +1082,24 @@ TEST(InferenceServer, BadShapeRejectedBeforeBatchingUnderBatchedDispatch) {
   EXPECT_EQ(s.admission.failed, 2u);
   // Only the two valid requests executed, so only they record exec samples.
   EXPECT_EQ(s.exec_latency.count, 2u);
+}
+
+TEST(InferenceServer, AdmissionLedgerBalancesForAnyReadAfterTheFutureResolves) {
+  // A request's admission counter moves before its future resolves, so a
+  // stats read made right after get() returns already balances — no drain()
+  // needed. A worker that fulfilled first and counted after would leave most
+  // of these reads one request short.
+  SmallModel& m = small_model();
+  InferenceServer server(quick_options(/*workers=*/1, /*max_batch=*/1, 0us));
+  server.register_model("m", m.session.network());
+  int unbalanced = 0;
+  constexpr int kRounds = 2000;
+  for (int i = 0; i < kRounds; ++i) {
+    server.submit("m", m.images[static_cast<std::size_t>(i) % m.images.size()]).get();
+    const AdmissionCounters a = server.model_stats("m").admission;
+    if (a.accepted != a.completed + a.failed + a.shed) ++unbalanced;
+  }
+  EXPECT_EQ(unbalanced, 0) << "of " << kRounds << " reads";
 }
 
 TEST(InferenceServer, ExecLatencySeparatesExecutorTimeFromQueueing) {

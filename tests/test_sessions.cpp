@@ -17,11 +17,14 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <future>
 #include <map>
+#include <memory>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -33,6 +36,7 @@
 #include "models/zoo.h"
 #include "quant/calibrate.h"
 #include "runtime/clock.h"
+#include "runtime/kernel_backend.h"
 #include "runtime/pipeline.h"
 #include "runtime/server/inference_server.h"
 
@@ -732,58 +736,143 @@ TEST(Sessions, DeadlineMissIsRetriedWithoutDroppingTokens) {
   EXPECT_EQ(srv.session_stats(id).deadline_misses, 5u);
 }
 
+/// Wraps a registered backend and, once closed, holds every execute_batch
+/// until open() — a worker running it is pinned for exactly as long as the
+/// test says, instead of for however long a big batch happens to take.
+class GateBackend : public KernelBackend {
+ public:
+  explicit GateBackend(const KernelBackend* inner) : inner_(inner) {}
+  const char* name() const override { return "test/gate"; }
+  void execute_batch(const ExecContext& ctx) const override {
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      entered_ = true;
+      cv_.notify_all();
+      cv_.wait(lock, [&] { return open_; });
+    }
+    inner_->execute_batch(ctx);
+  }
+  std::size_t scratch_bytes_batch(const CompiledNetwork& net, const LayerPlan& plan,
+                                  int batch) const override {
+    return inner_->scratch_bytes_batch(net, plan, batch);
+  }
+  void close() {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = false;
+    entered_ = false;
+  }
+  void open() {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+  /// Blocks until a worker is held at the closed gate.
+  void wait_entered() const {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return entered_; });
+  }
+
+ private:
+  const KernelBackend* inner_;
+  mutable std::mutex mu_;
+  mutable std::condition_variable cv_;
+  mutable bool open_ = true;
+  mutable bool entered_ = false;
+};
+
+/// Registers a backend under (kind, kAnyVariant) for the scope's lifetime
+/// and restores the previous one after. Declare it before any server whose
+/// executors resolve it: they hold raw pointers to the registered backend.
+class ScopedBackend {
+ public:
+  ScopedBackend(PlanKind kind, std::unique_ptr<KernelBackend> backend) : kind_(kind) {
+    previous_ = KernelRegistry::instance().add(kind, kAnyVariant, std::move(backend),
+                                               /*replace=*/true);
+  }
+  ~ScopedBackend() {
+    KernelRegistry::instance().add(kind_, kAnyVariant, std::move(previous_), /*replace=*/true);
+  }
+
+ private:
+  PlanKind kind_;
+  std::unique_ptr<KernelBackend> previous_;
+};
+
+/// input -> relu over a 1x2x2 image: a model whose only kernel is a kind the
+/// token LM never uses, so gating that kind pins only this model's batches.
+CompiledNetwork relu_net() {
+  CompiledNetwork net;
+  LayerPlan input;
+  input.kind = PlanKind::kInput;
+  input.name = "input";
+  input.out_chw = {1, 2, 2};
+  input.out.scale = 1.0f / 127.0f;
+  input.out.bits = 8;
+  input.out.is_signed = true;
+  net.plans.push_back(input);
+  LayerPlan relu;
+  relu.kind = PlanKind::kRelu;
+  relu.name = "relu";
+  relu.inputs = {0};
+  relu.out_chw = {1, 2, 2};
+  net.plans.push_back(relu);
+  return net;
+}
+
 TEST(Sessions, PerTokenDeadlineExpiresUnderSaturationWithoutDroppingTokens) {
   // Session-level mirror of Server.DeadlineExpiryDoesNotWaitForSaturatedWorkers:
-  // a decode step's deadline expires while the lone worker is pinned by a
-  // saturating bulk batch — the miss is observable before that batch
+  // a decode step's deadline expires while the lone worker is pinned by
+  // another model's batch — the miss is observable before that batch
   // completes, and the generation still emits the full, bit-identical
-  // token stream once the worker frees up.
+  // token stream once the worker frees up. The worker is pinned by a gate
+  // the test opens, so the ordering does not depend on timing.
   LmFixture& f = lm_fixture();
+  for (const LayerPlan& plan : f.session.network().plans) {
+    ASSERT_NE(plan.kind, PlanKind::kRelu) << "the gated kind must be unused by the LM";
+  }
   const std::vector<int> prompt = {1, 2};
   const std::vector<int> ref = generate_tokens(f.session, f.lm, 1, prompt, 4);
+
+  KernelRegistry& registry = KernelRegistry::instance();
+  auto owned = std::make_unique<GateBackend>(&registry.resolve(PlanKind::kRelu, kAnyVariant));
+  GateBackend& gate = *owned;
+  const ScopedBackend swap(PlanKind::kRelu, std::move(owned));
+  const CompiledNetwork pin_net = relu_net();
 
   ServerOptions so;
   so.workers = 1;
   InferenceServer server(so);
-  constexpr std::size_t kBulk = 4096;
-  ModelConfig bulk;
-  bulk.batching.max_batch = static_cast<int>(kBulk);
-  bulk.batching.max_delay = 10s;
-  bulk.queue.capacity = kBulk;
-  server.register_model("bulk", f.session.network(), bulk);
+  server.register_model("pin", pin_net);
   server.register_model("lm", f.session.network(), slow_config(5ms));
-
   SessionManagerOptions mo;
   mo.token_deadline = 300us;
   SessionManager mgr(server, mo);
   mgr.register_lm("lm", f.lm);
 
-  std::vector<std::future<QTensor>> bulk_futs;
-  bulk_futs.reserve(kBulk);
-  for (std::size_t i = 0; i < kBulk; ++i) {
-    bulk_futs.push_back(server.submit(
-        "bulk", models::token_lm_input(f.lm, static_cast<int>(i) % f.lm.vocab, nullptr)));
-  }
-  // Once the batch is handed to the worker, no worker is free until it
-  // completes.
-  while (server.model_stats("bulk").dispatched < kBulk) std::this_thread::yield();
+  gate.close();
+  struct Reopen {
+    GateBackend& g;
+    ~Reopen() { g.open(); }  // never leave the worker pinned at shutdown
+  } reopen{gate};
+  std::future<QTensor> pinned = server.submit("pin", Tensor({1, 2, 2}, 0.5f));
+  gate.wait_entered();  // the lone worker is now held inside the pin batch
 
   const SessionId id = mgr.open_session("lm");
   std::future<GenerationResult> gen = mgr.generate_async(id, prompt, 4);
-  // The first step's deadline must expire while the saturating batch is
-  // still in flight: the purge runs on the scheduler, not on a worker.
+  // The first step's deadline must expire while the worker is still pinned:
+  // the purge runs on the scheduler, not on a worker.
   while (server.model_stats("lm").deadline_expired == 0) std::this_thread::yield();
-  EXPECT_EQ(server.model_stats("bulk").admission.completed, 0u)
-      << "step deadline expired only after the saturating batch completed";
+  EXPECT_EQ(server.model_stats("pin").admission.completed, 0u);
 
+  gate.open();
   const GenerationResult r = gen.get();
   EXPECT_TRUE(r.completed);
   EXPECT_EQ(r.tokens, ref);  // misses cost latency, never tokens
   EXPECT_GE(r.deadline_misses, 1u);
 
   server.drain();
-  for (auto& fut : bulk_futs) fut.get();
-  EXPECT_EQ(server.model_stats("bulk").admission.completed, kBulk);
+  pinned.get();
+  EXPECT_EQ(server.model_stats("pin").admission.completed, 1u);
 }
 
 TEST(Sessions, ShedMidGenerationNeverLosesOrDuplicatesTokens) {

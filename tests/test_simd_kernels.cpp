@@ -5,6 +5,8 @@
 // identity tests run on every build (the portable `#pragma omp simd` path is
 // always compiled); registry and lane-selection tests skip when the SIMD
 // family is compiled out (BSWP_SIMD=OFF).
+#include <algorithm>
+#include <functional>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -43,12 +45,85 @@ void expect_counters_equal(const sim::CostCounter& a, const sim::CostCounter& b,
 // ---------------------------------------------------------------------------
 // Kernel-level bit identity
 // ---------------------------------------------------------------------------
+//
+// Every kernel family has one batch-strided core. Each kept core (scalar and
+// SIMD) runs at every batch size below and must match the scalar core run
+// one image at a time (batch 1): the same bytes per image, and counters that
+// are exactly the sum of the per-image counters. 7/8/9/16 straddle the SIMD
+// bit-serial core's 8-image unpack tile; 1 takes its single-image layout.
+
+constexpr int kBatchSizes[] = {1, 2, 7, 8, 9, 16};
+
+/// A batch-strided core: (in, in_stride, batch, out, out_stride, scratch,
+/// counter), plus the scratch bound it advertises for a batch size. The
+/// checker runs it on an arena of exactly that size, so an under-reported
+/// bound throws.
+struct BatchCore {
+  std::function<void(const QView&, std::size_t, int, QView&, std::size_t, ScratchArena&,
+                     sim::CostCounter*)>
+      run;
+  std::function<std::size_t(int)> scratch_bytes;
+};
+
+/// Runs `scalar` once per image (the reference), then `scalar` and `simd` on
+/// whole batches. Images are copies of `proto` redrawn by `fill` and laid out
+/// with a gap after each one, so a core that ignores a stride reads or
+/// writes the wrong slot; the output gaps must stay untouched.
+void expect_batches_match_scalar(const QTensor& proto, std::size_t out_elems,
+                                 const std::function<void(QTensor&)>& fill,
+                                 const BatchCore& scalar, const BatchCore& simd_core,
+                                 const std::string& what) {
+  constexpr int16_t kSentinel = 0x7777;
+  const std::size_t in_elems = proto.size();
+  const std::size_t in_stride = in_elems + 3, out_stride = out_elems + 5;
+  for (int batch : kBatchSizes) {
+    const std::string at = what + " batch " + std::to_string(batch);
+    std::vector<QTensor> images(static_cast<std::size_t>(batch), proto);
+    std::vector<int16_t> in_buf(static_cast<std::size_t>(batch) * in_stride, 0);
+    std::vector<std::vector<int16_t>> ref(static_cast<std::size_t>(batch));
+    sim::CostCounter ref_counter;
+    for (int b = 0; b < batch; ++b) {
+      QTensor& img = images[static_cast<std::size_t>(b)];
+      fill(img);
+      std::copy(img.data.begin(), img.data.end(),
+                in_buf.begin() + static_cast<std::ptrdiff_t>(b * in_stride));
+      std::vector<int16_t>& r = ref[static_cast<std::size_t>(b)];
+      r.assign(out_elems, 0);
+      QView out;
+      out.data = r.data();
+      ScratchArena scratch(scalar.scratch_bytes(1));
+      scalar.run(QView::of(img), in_elems, 1, out, out_elems, scratch, &ref_counter);
+    }
+    QView in = QView::of(proto);
+    in.data = in_buf.data();
+    for (const BatchCore* core : {&scalar, &simd_core}) {
+      const std::string who = at + (core == &scalar ? " scalar" : " simd");
+      std::vector<int16_t> out_buf(static_cast<std::size_t>(batch) * out_stride, kSentinel);
+      QView out;
+      out.data = out_buf.data();
+      ScratchArena scratch(core->scratch_bytes(batch));
+      sim::CostCounter counter;
+      core->run(in, in_stride, batch, out, out_stride, scratch, &counter);
+      for (int b = 0; b < batch; ++b) {
+        const auto first = out_buf.begin() + static_cast<std::ptrdiff_t>(b * out_stride);
+        EXPECT_TRUE(std::equal(first, first + static_cast<std::ptrdiff_t>(out_elems),
+                               ref[static_cast<std::size_t>(b)].begin()))
+            << who << " image " << b;
+        EXPECT_TRUE(std::all_of(first + static_cast<std::ptrdiff_t>(out_elems),
+                                first + static_cast<std::ptrdiff_t>(out_stride),
+                                [](int16_t v) { return v == kSentinel; }))
+            << who << " wrote past image " << b;
+      }
+      expect_counters_equal(ref_counter, counter, who);
+    }
+  }
+}
 
 struct ConvCase {
   int in_ch, out_ch, kh, kw, stride, pad, groups, h, w, in_zp;
 };
 
-TEST(SimdKernels, ConvBitIdenticalAcrossGeometries) {
+TEST(SimdKernels, ConvBitIdenticalAcrossGeometriesAndBatches) {
   // Geometries chosen to hit every tail: odd filter counts (4-wide register
   // tile remainder), K % 16 != 0 (16-lane dot tail), groups, strides,
   // padding, 1x1, and a nonzero input zero point.
@@ -62,53 +137,63 @@ TEST(SimdKernels, ConvBitIdenticalAcrossGeometries) {
   Rng rng(11);
   for (const ConvCase& cc : cases) {
     const nn::ConvSpec spec{cc.in_ch, cc.out_ch, cc.kh, cc.kw, cc.stride, cc.pad, cc.groups};
-    QTensor input({1, cc.in_ch, cc.h, cc.w}, 8, false);
-    input.zero_point = cc.in_zp;
-    for (auto& v : input.data) v = static_cast<int16_t>(rng.uniform_int(256));
+    QTensor proto({1, cc.in_ch, cc.h, cc.w}, 8, false);
+    proto.zero_point = cc.in_zp;
     QTensor weights(spec.weight_shape(), 8, true);
     for (auto& v : weights.data)
       v = static_cast<int16_t>(-127 + static_cast<int>(rng.uniform_int(255)));
     const kernels::Requant rq =
         kernels::Requant::uniform(cc.out_ch, 1e-4f, {}, 0.01f, 8, false, false);
 
-    const int oh = spec.out_h(cc.h), ow = spec.out_w(cc.w);
-    QTensor out_s({1, cc.out_ch, oh, ow}, 8, false), out_v = out_s;
-    QView in = QView::of(input), vs = QView::of(out_s), vv = QView::of(out_v);
-    sim::CostCounter cs, cv;
-    kernels::baseline_conv2d(in, weights, spec, rq, vs, &cs);
-    ScratchArena scratch(simd::simd_conv_scratch_bytes(spec));
-    simd::simd_conv2d(in, weights, spec, rq, vv, scratch, &cv);
-
-    const std::string what = "conv in_ch=" + std::to_string(cc.in_ch) +
-                             " out_ch=" + std::to_string(cc.out_ch) +
-                             " groups=" + std::to_string(cc.groups);
-    EXPECT_EQ(out_s.data, out_v.data) << what;
-    expect_counters_equal(cs, cv, what);
-    EXPECT_LE(scratch.high_water(), simd::simd_conv_scratch_bytes(spec)) << what;
+    const BatchCore scalar{[&](const QView& in, std::size_t is, int n, QView& out,
+                               std::size_t os, ScratchArena&, sim::CostCounter* c) {
+                             kernels::baseline_conv2d(in, is, n, weights, spec, rq, out, os, c);
+                           },
+                           [](int) { return std::size_t{0}; }};
+    const BatchCore simd_core{[&](const QView& in, std::size_t is, int n, QView& out,
+                                  std::size_t os, ScratchArena& scratch, sim::CostCounter* c) {
+                                simd::simd_conv2d(in, is, n, weights, spec, rq, out, os, scratch,
+                                                  c);
+                              },
+                              [&](int n) { return simd::simd_conv_scratch_bytes(spec, n); }};
+    const std::size_t out_elems =
+        static_cast<std::size_t>(cc.out_ch) * spec.out_h(cc.h) * spec.out_w(cc.w);
+    expect_batches_match_scalar(
+        proto, out_elems,
+        [&](QTensor& x) {
+          for (auto& v : x.data) v = static_cast<int16_t>(rng.uniform_int(256));
+        },
+        scalar, simd_core,
+        "conv in_ch=" + std::to_string(cc.in_ch) + " out_ch=" + std::to_string(cc.out_ch) +
+            " groups=" + std::to_string(cc.groups));
   }
 }
 
-TEST(SimdKernels, LinearBitIdenticalIncludingOddTails) {
+TEST(SimdKernels, LinearBitIdenticalIncludingOddTailsAndBatches) {
   Rng rng(12);
-  for (const auto [fin, fout] : {std::pair{16, 4}, {37, 7}, {128, 10}, {5, 3}}) {
-    QTensor input({1, fin}, 8, false);
-    input.zero_point = 2;
-    for (auto& v : input.data) v = static_cast<int16_t>(rng.uniform_int(256));
+  for (const auto& [fin, fout] : {std::pair{16, 4}, {37, 7}, {128, 10}, {5, 3}}) {
+    QTensor proto({1, fin}, 8, false);
+    proto.zero_point = 2;
     QTensor w({fout, fin}, 8, true);
     for (auto& v : w.data) v = static_cast<int16_t>(-127 + static_cast<int>(rng.uniform_int(255)));
     const kernels::Requant rq = kernels::Requant::uniform(fout, 1e-4f, {}, 0.01f, 8, true, false);
 
-    QTensor out_s({1, fout}, 8, true), out_v = out_s;
-    QView in = QView::of(input), vs = QView::of(out_s), vv = QView::of(out_v);
-    sim::CostCounter cs, cv;
-    kernels::baseline_linear(in, w, rq, vs, &cs);
-    ScratchArena scratch(simd::simd_linear_scratch_bytes(fin));
-    simd::simd_linear(in, w, rq, vv, scratch, &cv);
-
-    const std::string what = "linear " + std::to_string(fin) + "x" + std::to_string(fout);
-    EXPECT_EQ(out_s.data, out_v.data) << what;
-    expect_counters_equal(cs, cv, what);
-    EXPECT_LE(scratch.high_water(), simd::simd_linear_scratch_bytes(fin)) << what;
+    const BatchCore scalar{[&](const QView& in, std::size_t is, int n, QView& out,
+                               std::size_t os, ScratchArena&, sim::CostCounter* c) {
+                             kernels::baseline_linear(in, is, n, w, rq, out, os, c);
+                           },
+                           [](int) { return std::size_t{0}; }};
+    const BatchCore simd_core{[&](const QView& in, std::size_t is, int n, QView& out,
+                                  std::size_t os, ScratchArena& scratch, sim::CostCounter* c) {
+                                simd::simd_linear(in, is, n, w, rq, out, os, scratch, c);
+                              },
+                              [&](int n) { return simd::simd_linear_scratch_bytes(fin, n); }};
+    expect_batches_match_scalar(
+        proto, static_cast<std::size_t>(fout),
+        [&](QTensor& x) {
+          for (auto& v : x.data) v = static_cast<int16_t>(rng.uniform_int(256));
+        },
+        scalar, simd_core, "linear " + std::to_string(fin) + "x" + std::to_string(fout));
   }
 }
 
@@ -144,33 +229,44 @@ struct PooledFixture {
   }
 };
 
-TEST(SimdKernels, BitSerialConvIdenticalForEveryVariantOrderAndBitwidth) {
+TEST(SimdKernels, BitSerialConvIdenticalForEveryVariantOrderBitwidthAndBatch) {
+  Rng rng(22);
   for (pool::LutOrder order : {pool::LutOrder::kInputOriented, pool::LutOrder::kWeightOriented}) {
     for (int act_bits : {1, 4, 8}) {
       // 13 filters: not a multiple of the 8-channel gather step.
       PooledFixture f(16, 13, act_bits, order, 21);
-      const int oh = f.spec.out_h(7), ow = f.spec.out_w(6);
+      const std::size_t out_elems = 13u * f.spec.out_h(7) * f.spec.out_w(6);
       for (BitSerialVariant v : kAllVariants) {
-        QTensor out_s({1, 13, oh, ow}, 8, false), out_v = out_s;
-        QView in = QView::of(f.input), vs = QView::of(out_s), vv = QView::of(out_v);
-        sim::CostCounter cs, cv;
-        ScratchArena ss(kernels::bitserial_host_scratch_bytes(13, f.lut.pool_size, 8));
-        ScratchArena sv(simd::simd_bitserial_scratch_bytes(13, f.lut.pool_size, 8));
-        kernels::bitserial_conv2d(in, f.indices, f.lut, f.spec, f.rq, v, vs, ss, &cs);
-        simd::simd_bitserial_conv2d(in, f.indices, f.lut, f.spec, f.rq, v, vv, sv, &cv);
-        const std::string what = std::string("bitserial conv variant ") +
-                                 kernels::variant_name(v) + " bits " +
-                                 std::to_string(act_bits);
-        EXPECT_EQ(out_s.data, out_v.data) << what;
-        expect_counters_equal(cs, cv, what);
-        EXPECT_LE(sv.high_water(), simd::simd_bitserial_scratch_bytes(13, f.lut.pool_size, 8))
-            << what;
+        const BatchCore scalar{
+            [&](const QView& in, std::size_t is, int n, QView& out, std::size_t os,
+                ScratchArena& scratch, sim::CostCounter* c) {
+              kernels::bitserial_conv2d(in, is, n, f.indices, f.lut, f.spec, f.rq, v, out, os,
+                                        scratch, c);
+            },
+            [&](int n) { return kernels::bitserial_host_scratch_bytes(13, f.lut.pool_size, 8, n); }};
+        const BatchCore simd_core{
+            [&](const QView& in, std::size_t is, int n, QView& out, std::size_t os,
+                ScratchArena& scratch, sim::CostCounter* c) {
+              simd::simd_bitserial_conv2d(in, is, n, f.indices, f.lut, f.spec, f.rq, v, out, os,
+                                          scratch, c);
+            },
+            [&](int n) {
+              return simd::simd_bitserial_conv_scratch_bytes(f.spec, 7, 6, f.lut.pool_size, 8, n);
+            }};
+        expect_batches_match_scalar(
+            f.input, out_elems,
+            [&](QTensor& x) {
+              for (auto& e : x.data) e = static_cast<int16_t>(rng.uniform_int(1u << act_bits));
+            },
+            scalar, simd_core,
+            std::string("bitserial conv variant ") + kernels::variant_name(v) + " bits " +
+                std::to_string(act_bits));
       }
     }
   }
 }
 
-TEST(SimdKernels, BitSerialLinearIdentical) {
+TEST(SimdKernels, BitSerialLinearIdenticalAcrossBatches) {
   Rng rng(31);
   pool::WeightPool wp;
   wp.group_size = 8;
@@ -188,21 +284,29 @@ TEST(SimdKernels, BitSerialLinearIdentical) {
     pl.indices.resize(static_cast<std::size_t>(fout) * pl.channel_groups);
     for (auto& idx : pl.indices) idx = static_cast<uint16_t>(rng.uniform_int(24));
     const kernels::PackedIndices indices = kernels::PackedIndices::pack(pl);
-    QTensor input({1, fin}, 4, false);
-    input.scale = 0.05f;
-    for (auto& v : input.data) v = static_cast<int16_t>(rng.uniform_int(16));
+    QTensor proto({1, fin}, 4, false);
+    proto.scale = 0.05f;
     const kernels::Requant rq = kernels::Requant::uniform(fout, 1e-4f, {}, 0.01f, 8, true, false);
 
     for (BitSerialVariant v : kAllVariants) {
-      QTensor out_s({1, fout}, 8, true), out_v = out_s;
-      QView in = QView::of(input), vs = QView::of(out_s), vv = QView::of(out_v);
-      sim::CostCounter cs, cv;
-      ScratchArena ss(kernels::bitserial_host_scratch_bytes(fout, lut.pool_size, 8));
-      ScratchArena sv(simd::simd_bitserial_scratch_bytes(fout, lut.pool_size, 8));
-      kernels::bitserial_linear(in, indices, lut, rq, v, vs, ss, &cs);
-      simd::simd_bitserial_linear(in, indices, lut, rq, v, vv, sv, &cv);
-      EXPECT_EQ(out_s.data, out_v.data) << kernels::variant_name(v);
-      expect_counters_equal(cs, cv, std::string("bitserial linear ") + kernels::variant_name(v));
+      const BatchCore scalar{
+          [&](const QView& in, std::size_t is, int n, QView& out, std::size_t os,
+              ScratchArena& scratch, sim::CostCounter* c) {
+            kernels::bitserial_linear(in, is, n, indices, lut, rq, v, out, os, scratch, c);
+          },
+          [&](int n) { return kernels::bitserial_host_scratch_bytes(fout, lut.pool_size, 8, n); }};
+      const BatchCore simd_core{
+          [&](const QView& in, std::size_t is, int n, QView& out, std::size_t os,
+              ScratchArena& scratch, sim::CostCounter* c) {
+            simd::simd_bitserial_linear(in, is, n, indices, lut, rq, v, out, os, scratch, c);
+          },
+          [&](int n) { return simd::simd_bitserial_linear_scratch_bytes(fout, lut.pool_size, n); }};
+      expect_batches_match_scalar(
+          proto, static_cast<std::size_t>(fout),
+          [&](QTensor& x) {
+            for (auto& e : x.data) e = static_cast<int16_t>(rng.uniform_int(16));
+          },
+          scalar, simd_core, std::string("bitserial linear ") + kernels::variant_name(v));
     }
   }
 }

@@ -16,24 +16,19 @@
 //     saturation, achieved plateaus at capacity, queues fill, latency is
 //     dominated by queueing and shedding begins.
 //
-//  2. Skewed load, scheduling-policy sweep: one hot model (weight 8, 50% of
-//     the traffic) and three cold registrations of the same ResNet-s
-//     (weight 1 — identical batch cost isolates the scheduling policy) at
-//     1.15x the pool's *measured* saturated throughput (two workers share
-//     memory bandwidth, so capacity is probed with a closed-loop run, not
-//     extrapolated from one executor), under plain round-robin and under
-//     weighted deficit round-robin. The overload backlog has to land on
-//     *some* queue. Round-robin serves the cold models promptly (their
-//     demand is far below an equal share), so the hot model absorbs the
-//     entire backlog: its queue pins at capacity, it sheds, and its p99 is
-//     queueing-dominated. The weighted scheduler grants the hot model
-//     8/11 ≈ 73% of slots — comfortably above its ~58% share of demand —
-//     so the hot queue stays short (p99 drops severalfold) and the overload
-//     lands on the cold queues instead, which is the declared priority
-//     tradeoff: cold models run slower and shed some, but — one guaranteed
-//     batch credit per cycle — never starve. Latency/counter columns are a
-//     steady-state snapshot taken when arrivals end, so the final drain
-//     does not smear the percentiles.
+//  2. Skewed load: one hot model (weight 8, 50% of the traffic) and three
+//     cold registrations of the same ResNet-s (weight 1 — identical batch
+//     cost isolates the scheduler) at 1.15x the pool's *measured* saturated
+//     throughput (two workers share memory bandwidth, so capacity is probed
+//     with a closed-loop run, not extrapolated from one executor). The
+//     overload backlog has to land on *some* queue. The weighted deficit
+//     scheduler grants the hot model 8/11 ≈ 73% of slots — comfortably
+//     above its ~58% share of demand — so the hot queue stays short and the
+//     overload lands on the cold queues instead, which is the declared
+//     priority tradeoff: cold models run slower and shed some, but — one
+//     guaranteed batch credit per cycle — never starve. Latency/counter
+//     columns are a steady-state snapshot taken when arrivals end, so the
+//     final drain does not smear the percentiles.
 //
 //  3. Autoscaler load step: a burst at ~2.5x one worker's capacity against
 //     an autoscaling pool (min 1, max 4). The row shows the scale-up events
@@ -41,13 +36,11 @@
 //     back to min after it drains — grow/shrink counts equal means no
 //     oscillation.
 //
-//  4. Overload SLO attainment: the same open-loop overload run twice, once
-//     with queue-only deadline shedding and once with execution-aware
-//     shedding (refuse-to-dispatch on the compiled plan's execution
-//     estimate + layer-boundary cancellation). Execution-aware shedding
-//     stops the worker from finishing doomed requests late, so the
-//     attainment column rises and the met-request p99 falls — the payoff
-//     docs/serving.md § execution-aware deadlines describes.
+//  4. Overload SLO attainment: an open-loop overload where every request
+//     carries the same deadline, served with execution-aware shedding
+//     (refuse-to-dispatch on the compiled plan's execution estimate +
+//     layer-boundary cancellation) — see docs/serving.md § execution-aware
+//     deadlines.
 //
 // Numbers under smoke mode (BSWP_BENCH_SMOKE=1, CI) are meaningless — only
 // the code paths matter.
@@ -144,15 +137,14 @@ void print_row(int workers, double offered_ips, microseconds deadline, const Loa
               s.mean_batch_size, s.latency.p50_us, s.latency.p99_us);
 }
 
-/// Section 2: skewed load under one scheduling policy. One hot model at
-/// `hot_frac` of the offered stream plus `n_cold` cold models evenly
-/// splitting the rest, all on one 2-worker server with kShedOldest queues.
-LoadResult run_skewed(bswp::Session& hot, bswp::Session& cold, int n_cold,
-                      runtime::SchedulePolicy policy, int hot_weight, double offered_ips,
-                      double hot_frac, int n, std::span<const Tensor> images) {
+/// Section 2: skewed load. One hot model at `hot_frac` of the offered
+/// stream plus `n_cold` cold models evenly splitting the rest, all on one
+/// 2-worker server with kShedOldest queues.
+LoadResult run_skewed(bswp::Session& hot, bswp::Session& cold, int n_cold, int hot_weight,
+                      double offered_ips, double hot_frac, int n,
+                      std::span<const Tensor> images) {
   runtime::ServerOptions so;
   so.workers = 2;
-  so.schedule = policy;
   so.batching.max_batch = 8;
   so.batching.max_delay = microseconds{1000};
   so.queue.capacity = 64;
@@ -216,7 +208,7 @@ LoadResult run_skewed(bswp::Session& hot, bswp::Session& cold, int n_cold,
   return r;
 }
 
-void print_skewed_row(const char* policy, const LoadResult& r) {
+void print_skewed_row(const LoadResult& r) {
   const auto& models = r.stats.models;
   const runtime::ModelStats& hot = models[0];
   std::uint64_t cold_done = 0, cold_shed = 0;
@@ -226,7 +218,7 @@ void print_skewed_row(const char* policy, const LoadResult& r) {
     cold_shed += models[i].admission.shed;
     cold_p99 = std::max(cold_p99, models[i].latency.p99_us);
   }
-  std::printf("%-12s %8llu %8llu %5.2f %9.0f %9.0f | %9llu %9llu %11.0f\n", policy,
+  std::printf("%8llu %8llu %5.2f %9.0f %9.0f | %9llu %9llu %11.0f\n",
               static_cast<unsigned long long>(hot.admission.completed),
               static_cast<unsigned long long>(hot.admission.shed), hot.dispatch_share,
               hot.latency.p50_us, hot.latency.p99_us,
@@ -241,24 +233,18 @@ struct SloResult {
   std::uint64_t completed = 0;
 };
 
-/// Section 4: overload SLO sweep under one shedding mode. Open-loop Poisson
-/// arrivals past capacity, every request carrying the same deadline. With
-/// queue-only shedding (execution_aware_deadlines=false) a request is purged
-/// only once its deadline has already passed in the queue — one that expires
-/// a hair after dispatch occupies the worker to completion and finishes
-/// late, wasting capacity that feasible requests behind it needed. The
-/// execution-aware mode refuses to dispatch work whose remaining slack is
-/// below the compiled plan's execution estimate and sheds in-flight batches
-/// at the next layer boundary, so worker time concentrates on requests that
-/// can still meet their deadline: attainment rises and the met-request tail
-/// shortens. Latencies are measured client-side (submit to future-ready,
+/// Section 4: overload SLO run. Open-loop Poisson arrivals past capacity,
+/// every request carrying the same deadline. The server refuses to dispatch
+/// work whose remaining slack is below the compiled plan's execution
+/// estimate and sheds in-flight batches at the next layer boundary, so
+/// worker time concentrates on requests that can still meet their
+/// deadline. Latencies are measured client-side (submit to future-ready,
 /// consumed in submit order) because ServerStats percentiles cover all
 /// completions, late ones included.
-SloResult run_slo_overload(bswp::Session& model, bool exec_aware, double offered_ips,
-                           microseconds slo, int n, std::span<const Tensor> images) {
+SloResult run_slo_overload(bswp::Session& model, double offered_ips, microseconds slo, int n,
+                           std::span<const Tensor> images) {
   runtime::ServerOptions so;
   so.workers = 1;
-  so.execution_aware_deadlines = exec_aware;
   so.batching.max_batch = 4;
   so.batching.max_delay = microseconds{200};
   so.queue.capacity = 1024;
@@ -498,12 +484,11 @@ int run_bench() {
     jw.add(prefix + "mean_batch", r.stats.mean_batch_size);
   }
 
-  // --- Section 2: skewed load, scheduling-policy sweep ----------------------
+  // --- Section 2: skewed load ------------------------------------------------
   // One hot registration (50% of requests, weight 8) + three cold
   // registrations (weight 1) of the same ResNet-s, offered at 1.15x the
-  // pool's measured saturated throughput so every comparison runs with a
-  // genuine overload backlog (identical per-batch cost across models
-  // isolates scheduling). Single-executor img/s does not double with a
+  // pool's measured saturated throughput so the run has a genuine overload
+  // backlog (identical per-batch cost across models isolates scheduling). Single-executor img/s does not double with a
   // second worker (shared memory bandwidth), so capacity is probed with a
   // short closed-loop saturated run on a real 2-worker server.
   double cap_2w;
@@ -535,20 +520,13 @@ int run_bench() {
               "%d cold (weight 1), all ResNet-s, 2 workers, measured capacity %.0f/s, "
               "offered %.0f/s (1.15x)\n",
               100.0 * hot_frac, n_cold, cap_2w, skew_offered);
-  std::printf("%-12s %8s %8s %5s %9s %9s | %9s %9s %11s\n", "policy", "hot done", "hot shed",
-              "share", "hot p50", "hot p99", "cold done", "cold shed", "cold p99max");
-  const LoadResult rr =
-      run_skewed(resnet, resnet, n_cold, runtime::SchedulePolicy::kRoundRobin,
-                 /*hot_weight=*/8, skew_offered, hot_frac, n_skew, images);
-  print_skewed_row("round-robin", rr);
-  const LoadResult wd =
-      run_skewed(resnet, resnet, n_cold, runtime::SchedulePolicy::kWeightedDeficit,
-                 /*hot_weight=*/8, skew_offered, hot_frac, n_skew, images);
-  print_skewed_row("weighted", wd);
+  std::printf("%8s %8s %5s %9s %9s | %9s %9s %11s\n", "hot done", "hot shed", "share",
+              "hot p50", "hot p99", "cold done", "cold shed", "cold p99max");
+  const LoadResult wd = run_skewed(resnet, resnet, n_cold, /*hot_weight=*/8, skew_offered,
+                                   hot_frac, n_skew, images);
+  print_skewed_row(wd);
   jw.add("capacity_2w_per_s", cap_2w);
-  jw.add("skew_rr_hot_p99_us", rr.stats.models[0].latency.p99_us);
   jw.add("skew_wd_hot_p99_us", wd.stats.models[0].latency.p99_us);
-  jw.add("skew_rr_hot_completed", rr.stats.models[0].admission.completed);
   jw.add("skew_wd_hot_completed", wd.stats.models[0].admission.completed);
 
   // --- Section 3: autoscaler load step --------------------------------------
@@ -561,9 +539,8 @@ int run_bench() {
 
   // --- Section 4: overload SLO attainment -----------------------------------
   // 2x one worker's capacity, SLO at 3x the single-image execution time:
-  // roughly half the offered load is doomed no matter what — the question is
-  // whether the worker wastes time finishing it late (queue-only) or sheds
-  // it and spends the reclaimed time meeting deadlines (execution-aware).
+  // roughly half the offered load is doomed no matter what; the server sheds
+  // it and spends the reclaimed time meeting deadlines.
   {
     const double slo_offered = 2.0 * capacity_1w;
     const microseconds slo{static_cast<long long>(3.0 * img_us)};
@@ -573,21 +550,12 @@ int run_bench() {
     std::printf("\nbench_server: overload SLO attainment (1 worker, offered %.0f/s = 2.0x "
                 "capacity, SLO %lld us)\n",
                 slo_offered, static_cast<long long>(slo.count()));
-    std::printf("%-16s %10s %10s %8s %8s\n", "shedding", "attainment", "met p99", "done",
-                "shed");
-    const SloResult qo_r =
-        run_slo_overload(resnet, /*exec_aware=*/false, slo_offered, slo, n_slo, images);
-    std::printf("%-16s %9.1f%% %9.0f %8llu %8llu\n", "queue-only", 100.0 * qo_r.attainment,
-                qo_r.met_p99_us, static_cast<unsigned long long>(qo_r.completed),
-                static_cast<unsigned long long>(qo_r.shed));
-    const SloResult ea_r =
-        run_slo_overload(resnet, /*exec_aware=*/true, slo_offered, slo, n_slo, images);
-    std::printf("%-16s %9.1f%% %9.0f %8llu %8llu\n", "execution-aware", 100.0 * ea_r.attainment,
-                ea_r.met_p99_us, static_cast<unsigned long long>(ea_r.completed),
+    std::printf("%10s %10s %8s %8s\n", "attainment", "met p99", "done", "shed");
+    const SloResult ea_r = run_slo_overload(resnet, slo_offered, slo, n_slo, images);
+    std::printf("%9.1f%% %9.0f %8llu %8llu\n", 100.0 * ea_r.attainment, ea_r.met_p99_us,
+                static_cast<unsigned long long>(ea_r.completed),
                 static_cast<unsigned long long>(ea_r.shed));
-    jw.add("slo_queueonly_attainment", qo_r.attainment);
     jw.add("slo_execaware_attainment", ea_r.attainment);
-    jw.add("slo_queueonly_met_p99_us", qo_r.met_p99_us);
     jw.add("slo_execaware_met_p99_us", ea_r.met_p99_us);
   }
   jw.write("BENCH_server.json");

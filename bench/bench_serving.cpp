@@ -9,7 +9,8 @@
 // allocation profile of the old allocate-per-layer engine (one vector per
 // layer per run) collapsed into one block. "arena (reused)" is the
 // steady-state path: zero allocations per run. The worker rows measure
-// Session::run_batch on the persistent pool at 1/2/4/8 workers.
+// Session::run_batch on the persistent pool at 1/2/4/8 workers (the caller
+// plus workers - 1 pool threads, each stealing 8-image batched chunks).
 //
 // Emits BENCH_serving.json (bench::JsonWriter) for scripts/bench_compare.sh.
 #include <chrono>
@@ -111,26 +112,6 @@ int run_bench() {
     jw.add(prefix + "_ips", r.stats.throughput_ips);
     jw.add(prefix + "_p50_us", r.stats.latency.p50_us);
     jw.add(prefix + "_p99_us", r.stats.latency.p99_us);
-  }
-  // 4. Batched executor calls vs the per-image steal loop: the same pool
-  // with exec_batch=8 (workers run chunks through one run_batch_view call)
-  // against exec_batch=1 (the pre-batching per-image loop). Results are
-  // bit-identical; the gap is the stationary-operand amortization.
-  for (int workers : {1, 4}) {
-    for (int exec_batch : {1, 8}) {
-      runtime::ServingPool pool(session.network(), exec_batch);
-      pool.run(images, workers);  // warm the pool
-      runtime::BatchStats s;
-      pool.run(images, workers, &s);
-      char label[32];
-      std::snprintf(label, sizeof(label), "pool x%d eb=%d", workers, exec_batch);
-      std::printf("%-22s %10zu %11s %9.0f %9.0f %9.0f %9.0f\n", label, s.images, "-",
-                  s.throughput_ips, s.latency.p50_us, s.latency.p95_us, s.latency.p99_us);
-      const std::string prefix = "pool_x" + std::to_string(workers) +
-                                 (exec_batch > 1 ? "_batched" : "_perimg");
-      jw.add(prefix + "_ips", s.throughput_ips);
-      jw.add(prefix + "_p50_us", s.latency.p50_us);
-    }
   }
   jw.write("BENCH_serving.json");
   return 0;

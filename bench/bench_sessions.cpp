@@ -1,25 +1,18 @@
-// Session-serving benchmark: warm per-session state vs cold per-token
-// resubmission, and concurrent-session scaling (see docs/sessions.md).
+// Session-serving benchmark: warm per-session decode throughput and
+// concurrent-session scaling (see docs/sessions.md).
 //
 // Two sections:
 //
-//  1. Warm vs cold: S concurrent sessions each greedy-decode N tokens from
-//     a short prompt. Warm serving keeps the recurrent state per session —
-//     one decode step per token. Cold serving (warm_state = false) is the
-//     stateless-serving ablation: every token replays the whole history
-//     from the zero state, the way a server without session state would
-//     have to (token n costs |prompt| + n steps instead of 1). Both modes
-//     emit bit-identical tokens, so the aggregate tokens/s ratio isolates
-//     exactly what per-session state buys. The expected shape: warm >=
-//     1.2x cold (in practice many-x — the gap widens with N since cold is
-//     quadratic in generation length).
+//  1. Decode throughput: S concurrent sessions each greedy-decode N tokens
+//     from a short prompt, keeping the recurrent state per session — one
+//     decode step per token.
 //
-//  2. Concurrent-session scaling: warm aggregate tokens/s, per-token
-//     p50/p99 and the session-affinity hit rate as the session count grows
-//     over a fixed 2-worker server. Decode chains are sequential per
-//     session, so aggregate throughput should grow with sessions until the
-//     workers saturate; the affinity hit rate shows sticky placement
-//     holding (or honestly degrading) under contention.
+//  2. Concurrent-session scaling: aggregate tokens/s, per-token p50/p99
+//     and the session-affinity hit rate as the session count grows over a
+//     fixed 2-worker server. Decode chains are sequential per session, so
+//     aggregate throughput should grow with sessions until the workers
+//     saturate; the affinity hit rate shows sticky placement holding (or
+//     honestly degrading) under contention.
 //
 // Emits BENCH_sessions.json (bench::JsonWriter) for scripts/
 // bench_compare.sh. Numbers under smoke mode (BSWP_BENCH_SMOKE=1, CI) are
@@ -65,12 +58,10 @@ struct SweepPoint {
 /// 2-worker SessionServer; returns the aggregate throughput and the
 /// manager's latency/affinity rollup.
 SweepPoint run_sessions(const Session& session, const models::TokenLmOptions& lm, int sessions,
-                        int tokens, bool warm) {
+                        int tokens) {
   runtime::ServerOptions so;
   so.workers = 2;
-  runtime::SessionManagerOptions mo;
-  mo.warm_state = warm;
-  bswp::SessionServer srv(so, mo);
+  bswp::SessionServer srv(so);
   srv.add("lm", session, lm);
 
   // Warm the model's arena executors so the timed region measures decode
@@ -116,25 +107,19 @@ int run_bench() {
   const int tokens = smoke_scaled(48, 8);
   jw.add("tokens_per_session", tokens);
 
-  // --- Section 1: warm state vs cold per-token resubmission ----------------
-  print_header("bench_sessions: warm session state vs cold resubmission");
+  // --- Section 1: decode throughput with per-session state ------------------
+  print_header("bench_sessions: decode throughput with per-session state");
   for (int sessions : {1, 4}) {
-    const SweepPoint warm = run_sessions(session, lm, sessions, tokens, /*warm=*/true);
-    const SweepPoint cold = run_sessions(session, lm, sessions, tokens, /*warm=*/false);
-    const double speedup = cold.tokens_per_s > 0.0 ? warm.tokens_per_s / cold.tokens_per_s : 0.0;
-    std::printf("%d session(s) x %d tokens: warm %8.0f tok/s, cold %7.0f tok/s "
-                "-> %.1fx\n",
-                sessions, tokens, warm.tokens_per_s, cold.tokens_per_s, speedup);
-    const std::string sfx = "_s" + std::to_string(sessions);
-    jw.add("warm_tokens_per_s" + sfx, warm.tokens_per_s);
-    jw.add("cold_tokens_per_s" + sfx, cold.tokens_per_s);
-    jw.add("warm_over_cold_speedup" + sfx, speedup);
+    const SweepPoint warm = run_sessions(session, lm, sessions, tokens);
+    std::printf("%d session(s) x %d tokens: %8.0f tok/s\n", sessions, tokens,
+                warm.tokens_per_s);
+    jw.add("warm_tokens_per_s_s" + std::to_string(sessions), warm.tokens_per_s);
   }
 
   // --- Section 2: concurrent-session scaling -------------------------------
-  print_header("bench_sessions: concurrent-session scaling (warm, 2 workers)");
+  print_header("bench_sessions: concurrent-session scaling (2 workers)");
   for (int sessions : {1, 2, 4, 8}) {
-    const SweepPoint p = run_sessions(session, lm, sessions, tokens, /*warm=*/true);
+    const SweepPoint p = run_sessions(session, lm, sessions, tokens);
     std::printf("%d session(s): %8.0f tok/s, per-token p50 %6.0f us, p99 %6.0f us, "
                 "affinity hit rate %.0f%%\n",
                 sessions, p.tokens_per_s, p.p50_us, p.p99_us, 100.0 * p.affinity_hit_rate);

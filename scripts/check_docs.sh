@@ -7,9 +7,10 @@
 #   1. path-like   — `src/runtime/executor.h`, `docs/serving.md`,
 #                    `scripts/bench_smoke.sh` ... must exist as files/dirs;
 #   2. symbol-like — namespace-qualified identifiers such as
-#                    `runtime::InferenceServer` or `pool::CodecOptions`:
-#                    the final component must appear somewhere under
-#                    src/ tests/ bench/ examples/ scripts/.
+#                    `runtime::InferenceServer` or `pool::CodecOptions`, and
+#                    class-qualified ones such as `ServerOptions::workers`:
+#                    every component must appear as a whole word somewhere
+#                    under src/ tests/ bench/ examples/ scripts/.
 #
 # Usage: scripts/check_docs.sh   (from anywhere; resolves the repo root)
 set -uo pipefail
@@ -28,15 +29,16 @@ for doc in docs/*.md README.md; do
   done < <(grep -oE '`[A-Za-z0-9_.-]+(/[A-Za-z0-9_.-]+)+`' "$doc" \
              | tr -d '`' | sort -u)
 
-  # Symbol references under the project's namespaces.
+  # Symbol references: namespace-qualified, or qualified by a class name.
   while IFS= read -r sym; do
-    leaf="${sym##*::}"
-    [ -n "$leaf" ] || continue
-    if ! grep -rqF "$leaf" src/ tests/ bench/ examples/ scripts/ 2>/dev/null; then
-      echo "MISSING SYMBOL $doc -> $sym"
-      status=1
-    fi
-  done < <(grep -oE '`(bswp|runtime|pool|quant|kernels|nn|sim|models|data|lowering)::[A-Za-z0-9_]+(::[A-Za-z0-9_]+)*`' "$doc" \
+    for part in ${sym//::/ }; do
+      if ! grep -rqw -- "$part" src/ tests/ bench/ examples/ scripts/ 2>/dev/null; then
+        echo "MISSING SYMBOL $doc -> $sym"
+        status=1
+        break
+      fi
+    done
+  done < <(grep -oE '`((bswp|runtime|pool|quant|kernels|nn|sim|models|data|lowering)|[A-Z][A-Za-z0-9_]*)(::[A-Za-z0-9_]+)+`' "$doc" \
              | tr -d '`' | sort -u)
 done
 

@@ -360,11 +360,9 @@ class Deployment {
   /// hold group dot products, so B_l=16 is the exact-LUT configuration.
   Deployment& lut_bits(int bits);
   Deployment& lut_order(pool::LutOrder order);
-  /// How SelectBackends picks bit-serial variants: the cost model (default)
-  /// or the paper's §4.3 filters-vs-pool-size heuristic.
-  Deployment& backend_select(runtime::BackendSelect mode);
-  /// MCU profile pricing the cost model (defaults to MC-large). Pass the
-  /// profile you will deploy on so variant choice optimizes that target.
+  /// MCU profile pricing the cost model that picks each pooled layer's
+  /// bit-serial variant (defaults to MC-large). Pass the profile you will
+  /// deploy on so variant choice optimizes that target.
   Deployment& cost_profile(const sim::McuProfile& profile);
   /// Host-lane policy (scalar vs SIMD kernel family per layer). The default
   /// kCostModel prices both lanes under host_profile(); both lanes are
@@ -375,9 +373,6 @@ class Deployment {
   Deployment& host_profile(const sim::McuProfile& profile);
   /// Record per-pass lowering trace entries in compile_report().
   Deployment& pass_trace(bool enabled);
-  /// Heuristic mode only: enable/disable the automatic precompute policy
-  /// (§4.3). Ignored by the cost model, which prices precompute directly.
-  Deployment& auto_precompute(bool enabled);
   /// Force one bit-serial variant for every pooled layer (ablations).
   /// Requires a pool at compile() time.
   Deployment& force_variant(kernels::BitSerialVariant variant);

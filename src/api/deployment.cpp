@@ -69,11 +69,6 @@ Deployment& Deployment::lut_order(pool::LutOrder order) {
   return *this;
 }
 
-Deployment& Deployment::backend_select(runtime::BackendSelect mode) {
-  opts_.backend_select = mode;
-  return *this;
-}
-
 Deployment& Deployment::cost_profile(const sim::McuProfile& profile) {
   opts_.cost_profile = profile;
   return *this;
@@ -94,11 +89,6 @@ Deployment& Deployment::pass_trace(bool enabled) {
   return *this;
 }
 
-Deployment& Deployment::auto_precompute(bool enabled) {
-  opts_.auto_precompute = enabled;
-  return *this;
-}
-
 Deployment& Deployment::force_variant(kernels::BitSerialVariant variant) {
   opts_.force_variant = true;
   opts_.forced_variant = variant;
@@ -110,12 +100,10 @@ Deployment& Deployment::with_options(const runtime::CompileOptions& options) {
   weight_bits(options.weight_bits);
   lut_bits(options.lut_bits);
   lut_order(options.lut_order);
-  backend_select(options.backend_select);
   cost_profile(options.cost_profile);
   host_lanes(options.host_lanes);
   host_profile(options.host_profile);
   pass_trace(options.pass_trace);
-  auto_precompute(options.auto_precompute);
   opts_.force_variant = options.force_variant;
   opts_.forced_variant = options.forced_variant;
   return *this;

@@ -47,7 +47,15 @@ double unsigned_quant_mse(const std::vector<float>& values, int bits, float rang
   double mse = 0.0;
   for (float v : values) {
     const float c = std::clamp(v, 0.0f, range);
-    const float q = std::round(c / step) * step;
+    const float r = c / step;
+    // std::round(r) without a libm call on this hot path (the clip search
+    // evaluates it 42 times per call): for r in [0, 2^16), r + 0.5 is exact
+    // in double and truncating a non-negative value is floor. NaN and
+    // anything out of range take std::round.
+    const float q = (r >= 0.0f && r < 65536.0f
+                         ? static_cast<float>(static_cast<int>(static_cast<double>(r) + 0.5))
+                         : std::round(r)) *
+                    step;
     const double e = static_cast<double>(v) - q;
     mse += e * e;
   }

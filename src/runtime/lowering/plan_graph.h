@@ -18,7 +18,7 @@
 //   SelectBackends       PlanKind + bit-serial variant per node; pooled
 //                        layers pick the cheapest variant under the cost
 //                        model (sim/layer_cost.h) priced by the compile
-//                        profile — or the §4.3 heuristic in kHeuristic mode
+//                        profile
 //   Legalize             requantization construction (BN fold, zero-point
 //                        row-sum corrections), weight quantization, index
 //                        packing, and the unsupported-pattern checks

@@ -1,15 +1,13 @@
 // SelectBackends: assign every live node its PlanKind and, for pooled
 // layers, the bit-serial variant that will execute it.
 //
-// In kCostModel mode (the default) the choice is a measured-cost decision:
-// sim/layer_cost.h predicts the exact event counts of all five bit-serial
+// The variant choice is a measured-cost decision: sim/layer_cost.h predicts the exact event counts of all five bit-serial
 // variants (the counts are closed-form in geometry and pool indices — see
 // tests/test_layer_cost.cpp), CompileOptions::cost_profile prices them in
 // cycles, and the cheapest variant wins. Because per-layer cycles are
 // additive, per-layer argmin is optimal for whole-network simulated latency
 // — it can only match or beat the §4.3 filters-vs-pool-size heuristic,
-// which remains available as BackendSelect::kHeuristic for ablations. The
-// baseline int8 kernel is priced alongside for the report, but never chosen
+// whose cycles the report keeps beside every choice. The baseline int8 kernel is priced alongside for the report, but never chosen
 // for a pooled layer (it computes different numerics than the LUT path).
 //
 // Orthogonally, every conv/linear layer gets a HostLane: the scalar
@@ -86,15 +84,15 @@ class SelectBackends : public Pass {
   }
 
  private:
-  /// The pre-cost-model layer policy (§4.2-4.3): precompute when filters
-  /// exceed the pool size; cache when the filter loop amortizes the block
-  /// copies; flash reads for very narrow layers. Linear layers were always
-  /// cached.
+  /// The pre-cost-model layer policy (§4.2-4.3), priced only for
+  /// BackendChoice::heuristic_cycles: precompute when filters exceed the
+  /// pool size; cache when the filter loop amortizes the block copies; flash
+  /// reads for very narrow layers. Linear layers were always cached.
   static BitSerialVariant heuristic_variant(const PassContext& ctx, const PlanNode& n,
                                             int pool_size) {
     if (n.op == nn::Op::kLinear) return BitSerialVariant::kCached;
     const int out_ch = ctx.graph.node(n.graph_node).conv.out_ch;
-    if (ctx.opt.auto_precompute && kernels::should_precompute(out_ch, pool_size)) {
+    if (kernels::should_precompute(out_ch, pool_size)) {
       return BitSerialVariant::kCachedPrecompute;
     }
     if (out_ch * 4 >= pool_size) return BitSerialVariant::kCached;
@@ -108,13 +106,9 @@ class SelectBackends : public Pass {
       return false;
     }
     check(ctx.lut != nullptr, "SelectBackends: pooled layer without a LUT");
-    if (ctx.opt.backend_select == BackendSelect::kHeuristic) {
-      n.variant = heuristic_variant(ctx, n, ctx.lut->pool_size);
-      return false;
-    }
 
-    // Cost-model mode: price every variant (and the baseline kernel, for the
-    // report) under the compile profile.
+    // Price every variant (and the baseline kernel, for the report) under
+    // the compile profile.
     const PlanNode& src = pg.node(n.inputs[0]);
     check(src.quant_assigned, "SelectBackends: producer of '" + n.name + "' lacks quantization");
     const int M = src.oq.bits;  // bit-serial loop depth = input bitwidth
@@ -158,9 +152,8 @@ class SelectBackends : public Pass {
       } else {
         const sim::McuProfile& host = ctx.opt.host_profile;
         const PlanNode& src = pg.node(n.inputs[0]);
-        const int batch = ctx.opt.batch_hint > 1 ? ctx.opt.batch_hint : 1;
-        scalar_cyc = host.cycles(scalar_lane_cost(ctx, n, src, batch));
-        simd_cyc = host.cycles(simd_lane_cost(ctx, n, src, batch));
+        scalar_cyc = host.cycles(scalar_lane_cost(ctx, n, src));
+        simd_cyc = host.cycles(simd_lane_cost(ctx, n, src));
         if (simd_cyc < scalar_cyc) n.lane = HostLane::kSimd;
       }
     }
@@ -170,66 +163,42 @@ class SelectBackends : public Pass {
   }
 
   /// Host-profile event counts of the scalar lane for the backend already
-  /// chosen for `n` (baseline int8 or the winning bit-serial variant). With
-  /// `batch` > 1 (CompileOptions::batch_hint) the batched closed forms price
-  /// one batched-core call over the whole batch.
+  /// chosen for `n` (baseline int8 or the winning bit-serial variant).
   static sim::CostCounter scalar_lane_cost(const PassContext& ctx, const PlanNode& n,
-                                           const PlanNode& src, int batch) {
+                                           const PlanNode& src) {
     if (n.kind == PlanKind::kConvBaseline || n.kind == PlanKind::kLinearBaseline) {
-      return baseline_cost_for(ctx, n, src, batch);
+      return baseline_cost(ctx, n, src);
     }
     check(src.quant_assigned, "SelectBackends: producer of '" + n.name + "' lacks quantization");
-    if (batch > 1) {
-      if (n.op == nn::Op::kLinear) {
-        const int fin = static_cast<int>(elems(src.out_chw));
-        return sim::bitserial_linear_cost_batched(fin, src.oq.bits, *ctx.lut, n.indices,
-                                                  n.variant, batch);
-      }
-      const nn::ConvSpec& spec = ctx.graph.node(n.graph_node).conv;
-      return sim::bitserial_conv_cost_batched(spec, src.out_chw[1], src.out_chw[2], src.oq.bits,
-                                              *ctx.lut, n.indices, n.variant, batch);
-    }
     return variant_cost(ctx, n, src, src.oq.bits, n.variant);
   }
 
   static sim::CostCounter simd_lane_cost(const PassContext& ctx, const PlanNode& n,
-                                         const PlanNode& src, int batch) {
+                                         const PlanNode& src) {
     if (n.op == nn::Op::kLinear) {
       const int fin = static_cast<int>(elems(src.out_chw));
       if (n.kind == PlanKind::kLinearBaseline) {
-        const int fout = ctx.graph.node(n.graph_node).weight.dim(0);
-        return batch > 1 ? sim::simd_linear_cost_batched(fin, fout, batch)
-                         : sim::simd_linear_cost(fin, fout);
+        return sim::simd_linear_cost(fin, ctx.graph.node(n.graph_node).weight.dim(0));
       }
-      return batch > 1 ? sim::simd_bitserial_linear_cost_batched(fin, n.indices.out_ch,
-                                                                 src.oq.bits, *ctx.lut, batch)
-                       : sim::simd_bitserial_linear_cost(fin, n.indices.out_ch, src.oq.bits,
-                                                         *ctx.lut);
+      return sim::simd_bitserial_linear_cost(fin, n.indices.out_ch, src.oq.bits, *ctx.lut);
     }
     const nn::ConvSpec& spec = ctx.graph.node(n.graph_node).conv;
     if (n.kind == PlanKind::kConvBaseline) {
-      return batch > 1 ? sim::simd_conv_cost_batched(spec, src.out_chw[1], src.out_chw[2], batch)
-                       : sim::simd_conv_cost(spec, src.out_chw[1], src.out_chw[2]);
+      return sim::simd_conv_cost(spec, src.out_chw[1], src.out_chw[2]);
     }
-    return batch > 1 ? sim::simd_bitserial_conv_cost_batched(spec, src.out_chw[1], src.out_chw[2],
-                                                             src.oq.bits, *ctx.lut, batch)
-                     : sim::simd_bitserial_conv_cost(spec, src.out_chw[1], src.out_chw[2],
-                                                     src.oq.bits, *ctx.lut);
+    return sim::simd_bitserial_conv_cost(spec, src.out_chw[1], src.out_chw[2], src.oq.bits,
+                                         *ctx.lut);
   }
 
-  /// Like baseline_cost, but valid for unpooled layers too (no indices).
-  static sim::CostCounter baseline_cost_for(const PassContext& ctx, const PlanNode& n,
-                                            const PlanNode& src, int batch = 1) {
+  /// Event counts of the baseline int8 kernel for `n` (pooled or not).
+  static sim::CostCounter baseline_cost(const PassContext& ctx, const PlanNode& n,
+                                        const PlanNode& src) {
     if (n.op == nn::Op::kLinear) {
       const int fin = static_cast<int>(elems(src.out_chw));
-      const int fout = ctx.graph.node(n.graph_node).weight.dim(0);
-      return batch > 1 ? sim::baseline_linear_cost_batched(fin, fout, batch)
-                       : sim::baseline_linear_cost(fin, fout);
+      return sim::baseline_linear_cost(fin, ctx.graph.node(n.graph_node).weight.dim(0));
     }
     const nn::ConvSpec& spec = ctx.graph.node(n.graph_node).conv;
-    return batch > 1
-               ? sim::baseline_conv_cost_batched(spec, src.out_chw[1], src.out_chw[2], batch)
-               : sim::baseline_conv_cost(spec, src.out_chw[1], src.out_chw[2]);
+    return sim::baseline_conv_cost(spec, src.out_chw[1], src.out_chw[2]);
   }
 
   static sim::CostCounter variant_cost(const PassContext& ctx, const PlanNode& n,
@@ -241,16 +210,6 @@ class SelectBackends : public Pass {
     const nn::ConvSpec& spec = ctx.graph.node(n.graph_node).conv;
     return sim::bitserial_conv_cost(spec, src.out_chw[1], src.out_chw[2], act_bits, *ctx.lut,
                                     n.indices, v);
-  }
-
-  static sim::CostCounter baseline_cost(const PassContext& ctx, const PlanNode& n,
-                                        const PlanNode& src) {
-    if (n.op == nn::Op::kLinear) {
-      const int fin = static_cast<int>(elems(src.out_chw));
-      return sim::baseline_linear_cost(fin, n.indices.out_ch);
-    }
-    const nn::ConvSpec& spec = ctx.graph.node(n.graph_node).conv;
-    return sim::baseline_conv_cost(spec, src.out_chw[1], src.out_chw[2]);
   }
 
   static std::size_t elems(const std::vector<int>& chw) {

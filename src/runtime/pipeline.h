@@ -23,17 +23,6 @@
 
 namespace bswp::runtime {
 
-/// How SelectBackends picks the bit-serial variant of each pooled layer.
-enum class BackendSelect {
-  /// Estimate every variant's event counts with sim/layer_cost and pick the
-  /// cheapest under CompileOptions::cost_profile (the default).
-  kCostModel,
-  /// The paper's §4.2-4.3 layer policy: precompute when filters exceed the
-  /// pool size (if auto_precompute), cache when the filter loop amortizes
-  /// the block copies, flash reads otherwise.
-  kHeuristic,
-};
-
 /// How SelectBackends assigns each compute layer's HostLane (the host-CPU
 /// kernel family that will execute it; MCU latency estimates are unaffected).
 enum class HostLaneSelect {
@@ -55,25 +44,16 @@ struct CompileOptions {
   int weight_bits = 8;  // B_w for uncompressed layers and the pool quant
   int lut_bits = 8;     // B_l
   pool::LutOrder lut_order = pool::LutOrder::kInputOriented;
-  /// Variant policy. kHeuristic reproduces the pre-cost-model behavior.
-  BackendSelect backend_select = BackendSelect::kCostModel;
-  /// MCU profile pricing the cost model's event counts (kCostModel only).
+  /// MCU profile pricing the cost model's event counts: SelectBackends
+  /// estimates every bit-serial variant with sim/layer_cost and keeps the
+  /// cheapest under this profile.
   sim::McuProfile cost_profile = sim::mc_large();
   /// Host-lane policy: scalar vs SIMD kernel family per layer. Orthogonal to
-  /// backend_select (which picks the bit-serial *variant*); every variant is
-  /// bit-identical across lanes, so this only moves wall-clock time.
+  /// the bit-serial *variant* choice; every variant is bit-identical across
+  /// lanes, so this only moves wall-clock time.
   HostLaneSelect host_lanes = HostLaneSelect::kCostModel;
   /// Profile pricing the scalar-vs-SIMD lane decision (kCostModel lanes).
   sim::McuProfile host_profile = sim::host_profile();
-  /// Expected serving batch size the host lanes should be priced at. With a
-  /// hint > 1 the lane decision uses the *_cost_batched closed forms
-  /// (sim/layer_cost.h), which amortize the stationary operand across the
-  /// batch — this can flip a layer's lane when the per-image argmin and the
-  /// batched argmin disagree. Has no effect on numerics or on MCU latency
-  /// estimates; 1 preserves the per-image decision exactly.
-  int batch_hint = 1;
-  /// Heuristic mode only: pick cached+precompute when filters > pool size.
-  bool auto_precompute = true;
   /// Force one bit-serial variant for every pooled layer, linear included
   /// (ablations; all variants are bit-identical, they differ only in cost).
   bool force_variant = false;

@@ -192,7 +192,11 @@ CompiledNetwork load_network(std::istream& is) {
     net.lut.group_size = read_pod<int32_t>(is);
     net.lut.pool_size = read_pod<int32_t>(is);
     net.lut.bitwidth = read_pod<int32_t>(is);
-    net.lut.order = static_cast<pool::LutOrder>(read_pod<int32_t>(is));
+    const auto order = read_pod<int32_t>(is);
+    if (order < 0 || order > static_cast<int32_t>(pool::LutOrder::kWeightOriented)) {
+      throw std::runtime_error("bswp: unknown LUT order");
+    }
+    net.lut.order = static_cast<pool::LutOrder>(order);
     net.lut.pool_scale = read_pod<float>(is);
     net.lut.entry_scale = read_pod<float>(is);
     net.lut.entries = read_vec<int32_t>(is);
@@ -204,7 +208,8 @@ CompiledNetwork load_network(std::istream& is) {
   const auto num_plans = read_pod<uint32_t>(is);
   if (num_plans > 100000) throw std::runtime_error("bswp: implausible plan count");
   net.plans.resize(num_plans);
-  for (LayerPlan& p : net.plans) {
+  for (std::size_t pi = 0; pi < net.plans.size(); ++pi) {
+    LayerPlan& p = net.plans[pi];
     const auto kind = read_pod<int32_t>(is);
     if (kind < 0 || kind >= static_cast<int32_t>(kNumPlanKinds)) {
       throw std::runtime_error("bswp: unknown plan kind");
@@ -212,6 +217,12 @@ CompiledNetwork load_network(std::istream& is) {
     p.kind = static_cast<PlanKind>(kind);
     p.name = read_string(is);
     p.inputs = read_int_vec(is);
+    for (int in : p.inputs) {
+      // Plans are topologically ordered: an input names an earlier plan.
+      if (in < 0 || static_cast<std::size_t>(in) >= pi) {
+        throw std::runtime_error("bswp: plan input out of range");
+      }
+    }
     p.spec.in_ch = read_pod<int32_t>(is);
     p.spec.out_ch = read_pod<int32_t>(is);
     p.spec.kh = read_pod<int32_t>(is);
@@ -226,6 +237,9 @@ CompiledNetwork load_network(std::istream& is) {
     p.indices.groups = read_pod<int32_t>(is);
     p.indices.out_ch = read_pod<int32_t>(is);
     p.indices.idx = read_vec<uint8_t>(is);
+    for (uint8_t ix : p.indices.idx) {
+      if (ix >= net.lut.pool_size) throw std::runtime_error("bswp: pool index out of range");
+    }
     p.variant = static_cast<kernels::BitSerialVariant>(read_pod<int32_t>(is));
     if (version >= 2) {
       const auto lane = read_pod<uint8_t>(is);
@@ -238,6 +252,9 @@ CompiledNetwork load_network(std::istream& is) {
     }
     p.pool_k = read_pod<int32_t>(is);
     p.pool_stride = read_pod<int32_t>(is);
+    if (p.kind == PlanKind::kMaxPool && (p.pool_k < 1 || p.pool_stride < 1)) {
+      throw std::runtime_error("bswp: maxpool window must be >= 1");
+    }
     p.out.scale = read_pod<float>(is);
     p.out.zero_point = read_pod<int32_t>(is);
     p.out.bits = read_pod<int32_t>(is);

@@ -120,7 +120,7 @@ struct InferenceServer::ModelState {
   /// from a one-time CostCounter capture at register_model priced with
   /// sim::host_profile(). Immutable after registration, so workers may read
   /// it without mu_ (CancelToken borrows the data pointer). Empty when
-  /// execution-aware deadlines are off or profiling failed for this model.
+  /// profiling failed for this model (queue-residency deadlines then).
   std::vector<double> remaining_us;
   /// EWMA calibration of the cost model against measured executor wall time
   /// (measured / predicted, per image). Guarded by mu_; 1.0 until the first
@@ -259,7 +259,7 @@ void InferenceServer::register_model(const std::string& model_id, const Compiled
   check(!net.plans.empty(), "InferenceServer::register_model: empty network");
   validate(config, "InferenceServer::register_model");
   auto state = std::make_unique<ModelState>(model_id, net, config, options_.latency_window);
-  if (options_.execution_aware_deadlines && state->input_chw.size() == 3) {
+  if (state->input_chw.size() == 3) {
     // One-time per-layer cost capture: the estimate source for execution-
     // aware deadlines. A throwaway single-image Executor runs the plan once,
     // each layer tallying its own CostCounter; the host profile prices the
@@ -464,8 +464,8 @@ InferenceServer::ModelState* InferenceServer::select_model_locked(
 
   const std::size_t n = models_.size();
   // Scan from the cursor: the cursor advances past each dispatched model,
-  // so same-credit models take turns. Under kWeightedDeficit a ready model
-  // is dispatchable only while it has batch credits; when every ready model
+  // so same-credit models take turns. A ready model is dispatchable only
+  // while it has batch credits; when every ready model
   // has spent its grant, a new cycle refills credits to each model's weight
   // — that refill boundary is what makes sustained shares proportional to
   // the weights while a weight-1 model still dispatches every cycle.
@@ -484,7 +484,7 @@ InferenceServer::ModelState* InferenceServer::select_model_locked(
       *next_deadline = std::min(*next_deadline, deadline);
       continue;
     }
-    if (options_.schedule == SchedulePolicy::kRoundRobin || m.credits > 0) {
+    if (m.credits > 0) {
       rr_ = (rr_ + k + 1) % n;
       return &m;
     }
@@ -557,10 +557,8 @@ void InferenceServer::dispatch_locked(ModelState& m, int wid, bool affinity_hit,
       ++m.session_affinity_misses;
     }
   }
-  if (options_.schedule == SchedulePolicy::kWeightedDeficit) {
-    if (m.credits > 0) --m.credits;
-    if (m.queued() == 0) m.credits = 0;  // no banking across idle periods
-  }
+  if (m.credits > 0) --m.credits;
+  if (m.queued() == 0) m.credits = 0;  // no banking across idle periods
 
   ++m.batches;
   m.dispatched += take;
@@ -794,7 +792,7 @@ void InferenceServer::worker_main(int wid) {
     // sheds the run at the first layer boundary where the deadline can no
     // longer be met — for a batch that was never feasible, that is layer 0,
     // before any work is wasted on it.
-    const bool exec_aware = options_.execution_aware_deadlines && !m.remaining_us.empty();
+    const bool exec_aware = !m.remaining_us.empty();
     const auto arm_token = [&](Clock::time_point dl, std::size_t n_images) {
       cancel.disarm();
       if (exec_aware && dl != Clock::time_point::max()) {

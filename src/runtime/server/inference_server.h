@@ -11,8 +11,8 @@
 //                                                              │  thread
 //   register_model(...)  adds a queue + priority weight        │
 //                                                              ▼
-//                        pick model: weighted deficit round-robin
-//                        (or plain round-robin), max_batch/deadline
+//                        pick model: weighted deficit round-robin,
+//                        max_batch/deadline
 //                                                              │
 //                        pick worker: prefer one whose executor
 //                        cache is already warm for the model   │
@@ -23,7 +23,7 @@
 //
 // Batching: a model's batch closes when `max_batch` requests are queued or
 // the oldest has waited `max_delay`, whichever is first. Ready models are
-// drained by SchedulePolicy — weighted deficit round-robin by default, where
+// drained by weighted deficit round-robin, where
 // ModelConfig::weight is the model's batch-credit grant per scheduling cycle,
 // so a hot model gets proportionally more dispatch slots while a weight-1
 // model still dispatches every cycle (never starves). Within one model's
@@ -172,15 +172,15 @@ class InferenceServer {
   ModelState* select_model_locked(std::chrono::steady_clock::time_point now,
                                   std::chrono::steady_clock::time_point* next_deadline);
   /// Purge requests whose SubmitOptions::deadline is unmeetable: elapsed in
-  /// queue, or — under execution_aware_deadlines — with less slack left
-  /// than the model's (calibrated) execution estimate, so dispatching them
-  /// would only waste a worker. Fails their futures with kDeadlineExpired.
+  /// queue, or with less slack left than the model's (calibrated) execution
+  /// estimate, so dispatching them would only waste a worker. Fails their
+  /// futures with kDeadlineExpired.
   /// Feeds the earliest surviving effective deadline (deadline minus the
   /// execution estimate) into `next_deadline`. Lock held.
   void expire_deadlines_locked(ModelState& m, std::chrono::steady_clock::time_point now,
                                std::chrono::steady_clock::time_point* next_deadline);
   /// The model's calibrated whole-network execution estimate, as a clock
-  /// duration (zero when unavailable or execution-aware deadlines are off).
+  /// duration (zero when the model has no estimate).
   /// Lock held (reads the calibration EWMA).
   std::chrono::steady_clock::duration exec_estimate_locked(const ModelState& m) const;
   /// Free live worker for `m`, preferring (1) the sticky worker of the next

@@ -51,25 +51,6 @@ struct QueueOptions {
   QueuePolicy policy = QueuePolicy::kBlock;
 };
 
-/// How the scheduler divides batch slots between models that are ready to
-/// dispatch at the same time.
-enum class SchedulePolicy {
-  /// One batch per ready model per turn, in registration order. Every model
-  /// gets an equal share of dispatch slots regardless of its traffic, so a
-  /// hot model queues behind its own backlog while cold models idle.
-  kRoundRobin,
-  /// Weighted deficit round-robin over `ModelConfig::weight` (the default).
-  /// Each scheduling cycle grants every model `weight` batch credits; ready
-  /// models spend one credit per dispatched batch and the cycle ends when no
-  /// ready model has credits left, so sustained dispatch shares converge to
-  /// weight_i / sum(weights). Unused credits do not accumulate across cycles
-  /// (no banked bursts), and every model with a non-empty queue receives
-  /// credits every cycle — a weight-1 model can be slowed but never starved.
-  /// With all weights equal (the default) this degenerates to fair
-  /// round-robin.
-  kWeightedDeficit,
-};
-
 /// Per-request priority class, within one model's queue.
 enum class RequestClass {
   kNormal,  // FIFO order (default)
@@ -77,7 +58,7 @@ enum class RequestClass {
   /// among kHigh). Under QueuePolicy::kShedOldest, kNormal requests are
   /// evicted first; when no kNormal request is queued, the oldest kHigh
   /// request is shed. Cross-model ordering is the scheduler's business
-  /// (SchedulePolicy / ModelConfig::weight), not RequestClass's.
+  /// (ModelConfig::weight), not RequestClass's.
   kHigh,
 };
 
@@ -99,17 +80,18 @@ struct SubmitOptions {
   /// Completion deadline measured from admission (0 = none). A request
   /// still queued when its deadline elapses is purged by the scheduler and
   /// its future fails with ServerRejected::Reason::kDeadlineExpired — it
-  /// never reaches a worker. Under ServerOptions::execution_aware_deadlines
-  /// (the default) the deadline bounds *completion*, not just queueing: the
-  /// scheduler purges a request as soon as its remaining slack no longer
-  /// covers the model's estimated execution time (refuse-to-dispatch), and
-  /// a dispatched batch whose every member's SLO has become unreachable is
-  /// shed at the next layer boundary mid-run — those futures fail with the
-  /// same kDeadlineExpired, and no partial result is ever observable. With
-  /// execution_aware_deadlines = false the deadline bounds queue residency
-  /// only and dispatched work always runs to completion (the pre-SLO
-  /// behavior, kept for ablation — bench/bench_server.cpp measures the
-  /// attainment gap).
+  /// never reaches a worker. The deadline bounds *completion*, not just
+  /// queueing. The server derives a per-layer execution-time estimate for
+  /// each registered model from a one-time per-layer CostCounter capture
+  /// priced with sim::host_profile() (calibrated against measured executor
+  /// time as batches complete). The scheduler purges a request as soon as
+  /// its remaining slack no longer covers that estimate (refuse-to-
+  /// dispatch), and a dispatched batch whose every member's SLO has become
+  /// unreachable is shed at the next layer boundary mid-run — those futures
+  /// fail with the same kDeadlineExpired, and no partial result is ever
+  /// observable. A model without an estimate (inputs that are not CHW)
+  /// falls back to queue-residency deadlines: dispatched work runs to
+  /// completion.
   std::chrono::microseconds deadline{0};
 };
 
@@ -185,10 +167,17 @@ struct AutoscalerOptions {
 struct ModelConfig {
   BatchingPolicy batching;
   QueueOptions queue;
-  /// Relative dispatch share under SchedulePolicy::kWeightedDeficit
-  /// (default 1, must be >= 1): batch credits granted per scheduling cycle.
-  /// A weight-8 model next to three weight-1 models receives up to 8 of
-  /// every 11 batch slots under saturation. Ignored by kRoundRobin.
+  /// Relative dispatch share (default 1, must be >= 1). The scheduler runs
+  /// weighted deficit round-robin over the models ready to dispatch: each
+  /// scheduling cycle grants every model `weight` batch credits, ready
+  /// models spend one credit per dispatched batch, and the cycle ends when
+  /// no ready model has credits left, so sustained dispatch shares converge
+  /// to weight_i / sum(weights). Unused credits do not accumulate across
+  /// cycles (no banked bursts), and every model with a non-empty queue
+  /// receives credits every cycle — a weight-1 model can be slowed but
+  /// never starved. With all weights equal (the default) this is fair
+  /// round-robin. A weight-8 model next to three weight-1 models receives
+  /// up to 8 of every 11 batch slots under saturation.
   int weight = 1;
 };
 
@@ -200,9 +189,6 @@ struct ServerOptions {
   /// the autoscaler enabled this is the *initial* live count, clamped into
   /// [min_workers, max_workers].
   int workers = 2;
-  /// Cross-model dispatch order (default kWeightedDeficit, which equals
-  /// fair round-robin until a ModelConfig::weight is raised above 1).
-  SchedulePolicy schedule = SchedulePolicy::kWeightedDeficit;
   /// Defaults for models registered without an explicit ModelConfig.
   BatchingPolicy batching;
   QueueOptions queue;
@@ -212,18 +198,6 @@ struct ServerOptions {
   /// 65536; 0 keeps every sample — fine for tests, unbounded for a
   /// long-running server).
   std::size_t latency_window = 1 << 16;
-  /// Execution-aware SLO enforcement for SubmitOptions::deadline (default
-  /// true). The server derives a per-layer execution-time estimate for each
-  /// registered model from a one-time per-layer CostCounter capture priced
-  /// with sim::host_profile() (calibrated against measured executor time as
-  /// batches complete), then (a) refuses to dispatch a request whose
-  /// remaining slack no longer covers its estimated execution — purged with
-  /// kDeadlineExpired before wasting a worker — and (b) arms a CancelToken
-  /// on every dispatched batch so in-flight work is shed at the next layer
-  /// boundary once no member's SLO is reachable. false restores queue-
-  /// residency-only deadlines (dispatched work runs to completion) for
-  /// ablation.
-  bool execution_aware_deadlines = true;
   /// Time source for every timed decision (batching windows, deadlines,
   /// autoscaler cadence, latency stamps). Null (the default) means the
   /// process steady clock; tests inject a runtime::ManualClock to make

@@ -57,10 +57,9 @@ struct ModelStats {
   /// failed while batches are in flight.
   std::uint64_t dispatched = 0;
   /// This model's fraction of all dispatched requests across the server
-  /// (0 when nothing has been dispatched). Under saturation and
-  /// SchedulePolicy::kWeightedDeficit this converges toward
-  /// weight / sum(weights) — compare it against `weight` to see whether a
-  /// model is getting its configured share.
+  /// (0 when nothing has been dispatched). Under saturation this converges
+  /// toward weight / sum(weights) — compare it against `weight` to see
+  /// whether a model is getting its configured share.
   double dispatch_share = 0.0;
   /// ModelConfig::weight echo, so dashboards can plot share vs. weight.
   int weight = 1;

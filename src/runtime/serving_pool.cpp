@@ -22,19 +22,25 @@ struct ServingPool::Batch {
   std::span<const Tensor> images;
   std::vector<QTensor>* out = nullptr;
   std::vector<double>* lat_us = nullptr;
-  int workers = 0;  // participating worker count (ids < workers)
+  int threads = 0;  // pool threads joining the caller (ids < threads)
 
   std::atomic<std::size_t> next{0};   // work-stealing cursor
   std::atomic<bool> failed{false};    // set on first error; stops stealing
   std::exception_ptr error;           // first error (guarded by err_mu)
   std::mutex err_mu;
-  int active = 0;  // participating workers still running (guarded by pool mu_)
+  int active = 0;  // pool threads still running (guarded by pool mu_)
+
+  void fail() {
+    {
+      std::lock_guard<std::mutex> lock(err_mu);
+      if (!error) error = std::current_exception();
+    }
+    failed.store(true, std::memory_order_release);
+  }
 };
 
-ServingPool::ServingPool(const CompiledNetwork& net, int exec_batch)
-    : net_(&net), exec_batch_(exec_batch) {
+ServingPool::ServingPool(const CompiledNetwork& net) : net_(&net) {
   check(!net.plans.empty(), "ServingPool: empty network");
-  check(exec_batch >= 1, "ServingPool: exec_batch must be >= 1");
 }
 
 ServingPool::~ServingPool() {
@@ -46,11 +52,6 @@ ServingPool::~ServingPool() {
   for (std::thread& t : threads_) t.join();
 }
 
-int ServingPool::worker_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<int>(threads_.size());
-}
-
 void ServingPool::ensure_workers(int n) {
   std::lock_guard<std::mutex> lock(mu_);
   while (static_cast<int>(threads_.size()) < n) {
@@ -59,9 +60,44 @@ void ServingPool::ensure_workers(int n) {
   }
 }
 
-void ServingPool::worker_main(int id) {
-  // The worker's executor is built lazily on its first batch and reused for
+void ServingPool::steal_chunks(Batch& b, std::unique_ptr<Executor>& exec) const {
+  // The executor is built on its participant's first batch and reused for
   // the life of the pool: the arena stays warm across batches.
+  if (exec == nullptr) {
+    try {
+      exec = std::make_unique<Executor>(*net_, kExecBatch);
+    } catch (...) {
+      b.fail();
+      return;
+    }
+  }
+  // Each steal claims up to kExecBatch contiguous images and runs them as
+  // ONE batched executor call (bit-identical to per-image execution).
+  // Checking the failure flag here (not just the cursor) is the early-exit
+  // contract: once any chunk fails, no participant starts another chunk and
+  // the rest of the queue drains unexecuted.
+  constexpr auto chunk = static_cast<std::size_t>(kExecBatch);
+  while (!b.failed.load(std::memory_order_acquire)) {
+    const std::size_t i = b.next.fetch_add(chunk, std::memory_order_relaxed);
+    if (i >= b.images.size()) break;
+    const std::size_t n = std::min(chunk, b.images.size() - i);
+    const WallClock::time_point t0 = WallClock::now();
+    try {
+      exec->run_batch_view(b.images.subspan(i, n));
+      // Per-image latency under batched execution is the amortized share
+      // of the chunk's wall time — the quantity a capacity planner needs.
+      const double per_image = micros_since(t0) / static_cast<double>(n);
+      for (std::size_t k = 0; k < n; ++k) {
+        (*b.out)[i + k] = exec->logits_view(static_cast<int>(k)).to_qtensor();
+        (*b.lat_us)[i + k] = per_image;
+      }
+    } catch (...) {
+      b.fail();
+    }
+  }
+}
+
+void ServingPool::worker_main(int id) {
   std::unique_ptr<Executor> exec;
   std::uint64_t seen = 0;
   for (;;) {
@@ -71,53 +107,10 @@ void ServingPool::worker_main(int id) {
       cv_.wait(lock, [&] { return stop_ || (batch_ != nullptr && generation_ != seen); });
       if (stop_) return;
       seen = generation_;
-      if (id >= batch_->workers) continue;  // this batch wants fewer workers
+      if (id >= batch_->threads) continue;  // this batch wants fewer threads
       b = batch_;
     }
-
-    if (exec == nullptr) {
-      try {
-        exec = std::make_unique<Executor>(*net_, exec_batch_);
-      } catch (...) {
-        {
-          std::lock_guard<std::mutex> lock(b->err_mu);
-          if (!b->error) b->error = std::current_exception();
-        }
-        b->failed.store(true, std::memory_order_release);
-      }
-    }
-
-    if (exec != nullptr) {
-      // Chunked steal loop: each steal claims up to exec_batch_ contiguous
-      // images and runs them as ONE batched executor call (bit-identical to
-      // per-image execution). Checking the failure flag here (not just the
-      // cursor) is the early-exit contract: once any chunk fails, no worker
-      // starts another chunk and the rest of the queue drains unexecuted.
-      const auto chunk = static_cast<std::size_t>(exec_batch_);
-      while (!b->failed.load(std::memory_order_acquire)) {
-        const std::size_t i = b->next.fetch_add(chunk, std::memory_order_relaxed);
-        if (i >= b->images.size()) break;
-        const std::size_t n = std::min(chunk, b->images.size() - i);
-        const WallClock::time_point t0 = WallClock::now();
-        try {
-          exec->run_batch_view(b->images.subspan(i, n));
-          // Per-image latency under batched execution is the amortized share
-          // of the chunk's wall time — the quantity a capacity planner needs.
-          const double per_image = micros_since(t0) / static_cast<double>(n);
-          for (std::size_t k = 0; k < n; ++k) {
-            (*b->out)[i + k] = exec->logits_view(static_cast<int>(k)).to_qtensor();
-            (*b->lat_us)[i + k] = per_image;
-          }
-        } catch (...) {
-          {
-            std::lock_guard<std::mutex> lock(b->err_mu);
-            if (!b->error) b->error = std::current_exception();
-          }
-          b->failed.store(true, std::memory_order_release);
-        }
-      }
-    }
-
+    steal_chunks(*b, exec);
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (--b->active == 0) done_cv_.notify_all();
@@ -142,42 +135,28 @@ std::vector<QTensor> ServingPool::run(std::span<const Tensor> images, int n_work
   std::vector<double> lat_us(images.size(), 0.0);
   const WallClock::time_point t_batch = WallClock::now();
 
-  if (workers == 1) {
-    // Inline on the caller thread; the sequential executor persists too and
-    // serves the batch in exec_batch_-wide batched calls like the workers.
-    if (seq_exec_ == nullptr) seq_exec_ = std::make_unique<Executor>(*net_, exec_batch_);
-    const auto chunk = static_cast<std::size_t>(exec_batch_);
-    for (std::size_t i = 0; i < images.size(); i += chunk) {
-      const std::size_t n = std::min(chunk, images.size() - i);
-      const WallClock::time_point t0 = WallClock::now();
-      seq_exec_->run_batch_view(images.subspan(i, n));
-      const double per_image = micros_since(t0) / static_cast<double>(n);
-      for (std::size_t k = 0; k < n; ++k) {
-        out[i + k] = seq_exec_->logits_view(static_cast<int>(k)).to_qtensor();
-        lat_us[i + k] = per_image;
-      }
-    }
-  } else {
-    ensure_workers(workers);
-    Batch b;
-    b.images = images;
-    b.out = &out;
-    b.lat_us = &lat_us;
-    b.workers = workers;
-    b.active = workers;
+  Batch b;
+  b.images = images;
+  b.out = &out;
+  b.lat_us = &lat_us;
+  b.threads = workers - 1;
+  b.active = workers - 1;
+  if (b.threads > 0) {
+    ensure_workers(b.threads);
     {
       std::lock_guard<std::mutex> lock(mu_);
       batch_ = &b;
       ++generation_;
     }
     cv_.notify_all();
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      done_cv_.wait(lock, [&] { return b.active == 0; });
-      batch_ = nullptr;
-    }
-    if (b.error) std::rethrow_exception(b.error);
   }
+  steal_chunks(b, caller_exec_);
+  if (b.threads > 0) {
+    std::unique_lock<std::mutex> lock(mu_);
+    done_cv_.wait(lock, [&] { return b.active == 0; });
+    batch_ = nullptr;
+  }
+  if (b.error) std::rethrow_exception(b.error);
 
   if (stats != nullptr) {
     BatchStats s;

@@ -122,7 +122,7 @@ int SessionManager::expire_idle() {
 bool SessionManager::step(const std::string& model, SessionId id, const Tensor& input,
                           QTensor* out, std::uint64_t* misses) {
   SubmitOptions so;
-  so.cls = options_.token_class;
+  so.cls = RequestClass::kHigh;  // a token step must not queue behind bulk traffic
   so.affinity_key = id;
   so.deadline = options_.token_deadline;
   for (;;) {
@@ -152,7 +152,7 @@ GenerationResult SessionManager::generate(SessionId id, const std::vector<int>& 
   std::string model;
   models::TokenLmOptions lm;
   std::vector<float> state;
-  std::vector<int> history;
+  int last_token = -1;
   SessionRec* rec = nullptr;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -168,15 +168,14 @@ GenerationResult SessionManager::generate(SessionId id, const std::vector<int>& 
     for (int t : prompt) {
       check(t >= 0 && t < lm.vocab, "SessionManager::generate: prompt token out of range");
     }
-    state = rec->state;      // warm continuation point
-    history = rec->history;  // cold replay + empty-prompt continuation
+    state = rec->state;  // continuation point
+    last_token = rec->last_token;
     rec->generating = true;
     ++active_generations_;
   }
 
-  // `pending` is the last context token, fed to produce the next emission.
-  // history + prompt must be non-empty: a fresh session with an empty prompt
-  // has nothing to feed.
+  // `last_token` is the last context token, fed to produce the next
+  // emission. A fresh session with an empty prompt has nothing to feed.
   GenerationResult res;
   std::vector<double> lat_us;
   std::uint64_t misses = 0;
@@ -189,78 +188,42 @@ GenerationResult SessionManager::generate(SessionId id, const std::vector<int>& 
   };
 
   try {
-    check(!prompt.empty() || !history.empty(),
+    check(!prompt.empty() || last_token >= 0,
           "SessionManager::generate: empty prompt on a fresh session");
     QTensor out;
-    if (options_.warm_state) {
-      // Prefill: feed every context token but the last; the last is fed by
-      // the first emission step so its logits are not thrown away. The feed
-      // starts from the unfed tail of the history — after any earlier
-      // generation the warm state reflects history minus its last token, so
-      // that token must lead the feed ahead of the new prompt (cold replay
-      // feeds it as part of the full history; this is what keeps the two
-      // modes bit-identical across multi-call sessions).
-      std::vector<int> feed;
-      if (!history.empty()) feed.push_back(history.back());
-      feed.insert(feed.end(), prompt.begin(), prompt.end());
-      history.insert(history.end(), prompt.begin(), prompt.end());
-      for (std::size_t i = 0; i + 1 < feed.size(); ++i) {
-        if (stop_requested() || !step(model, id, models::token_lm_input(lm, feed[i], &state),
-                                      &out, &misses)) {
-          aborted = true;
-          break;
-        }
-        models::token_lm_decode(lm, out, &state);
+    // Prefill: feed every context token but the last; the last is fed by
+    // the first emission step so its logits are not thrown away. After any
+    // earlier generation the state reflects the history minus its last
+    // token, so that token leads the feed ahead of the new prompt (a replay
+    // of the full history from the zero state feeds the same sequence).
+    std::vector<int> feed;
+    if (last_token >= 0) feed.push_back(last_token);
+    feed.insert(feed.end(), prompt.begin(), prompt.end());
+    last_token = feed.back();
+    for (std::size_t i = 0; i + 1 < feed.size(); ++i) {
+      if (stop_requested() ||
+          !step(model, id, models::token_lm_input(lm, feed[i], &state), &out, &misses)) {
+        aborted = true;
+        break;
       }
-      int pending = feed.back();
-      const Clock::time_point decode_t0 = clock_->now();
-      for (int n = 0; n < max_tokens && !aborted; ++n) {
-        const Clock::time_point t0 = clock_->now();
-        if (stop_requested() ||
-            !step(model, id, models::token_lm_input(lm, pending, &state), &out, &misses)) {
-          aborted = true;
-          break;
-        }
-        const int token = models::token_lm_decode(lm, out, &state);
-        const double us = micros_between(t0, clock_->now());
-        lat_us.push_back(us);
-        res.tokens.push_back(token);
-        history.push_back(token);
-        pending = token;
-        if (on_token) on_token(TokenEvent{n, token, us});
-      }
-      decode_seconds = micros_between(decode_t0, clock_->now()) / 1e6;
-    } else {
-      // Cold-resubmit ablation: every emission replays the whole history
-      // from the zero state (token n costs |history| + n steps). Same feed
-      // sequence, same integer arithmetic, bit-identical tokens — only the
-      // per-token cost changes, which is exactly what the warm-vs-cold
-      // bench isolates.
-      history.insert(history.end(), prompt.begin(), prompt.end());
-      const Clock::time_point decode_t0 = clock_->now();
-      for (int n = 0; n < max_tokens && !aborted; ++n) {
-        const Clock::time_point t0 = clock_->now();
-        std::vector<float> cold_state;
-        for (std::size_t i = 0; i < history.size() && !aborted; ++i) {
-          if (stop_requested() ||
-              !step(model, id, models::token_lm_input(lm, history[i], &cold_state), &out,
-                    &misses)) {
-            aborted = true;
-            break;
-          }
-          models::token_lm_decode(lm, out, &cold_state);
-        }
-        if (aborted) break;
-        const int token = models::token_lm_decode(lm, out, nullptr);
-        const double us = micros_between(t0, clock_->now());
-        lat_us.push_back(us);
-        res.tokens.push_back(token);
-        history.push_back(token);
-        if (on_token) on_token(TokenEvent{n, token, us});
-      }
-      decode_seconds = micros_between(decode_t0, clock_->now()) / 1e6;
-      state.clear();  // cold sessions never carry warm state
+      models::token_lm_decode(lm, out, &state);
     }
+    const Clock::time_point decode_t0 = clock_->now();
+    for (int n = 0; n < max_tokens && !aborted; ++n) {
+      const Clock::time_point t0 = clock_->now();
+      if (stop_requested() ||
+          !step(model, id, models::token_lm_input(lm, last_token, &state), &out, &misses)) {
+        aborted = true;
+        break;
+      }
+      const int token = models::token_lm_decode(lm, out, &state);
+      const double us = micros_between(t0, clock_->now());
+      lat_us.push_back(us);
+      res.tokens.push_back(token);
+      last_token = token;
+      if (on_token) on_token(TokenEvent{n, token, us});
+    }
+    decode_seconds = micros_between(decode_t0, clock_->now()) / 1e6;
   } catch (...) {
     // Validation failures (bad prompt token, fresh-session empty prompt) and
     // a throwing on_token callback must release the generation slot before
@@ -296,7 +259,7 @@ GenerationResult SessionManager::generate(SessionId id, const std::vector<int>& 
     rec->generating = false;
     rec->last_used = clock_->now();
     rec->state = std::move(state);
-    rec->history = std::move(history);
+    rec->last_token = last_token;
     rec->tokens += res.tokens.size();
     rec->deadline_misses += misses;
     rec->decode_seconds += decode_seconds;

@@ -30,11 +30,12 @@
 // Determinism: every step is deterministic integer kernel code and the
 // decode (argmax + int16 state dequantization) is a pure function of the
 // step output, so greedy generation is bit-identical across runs, worker
-// counts, scalar-vs-SIMD lanes, and warm-vs-cold serving modes —
-// tests/test_sessions.cpp pins this against a golden token fixture.
+// counts and scalar-vs-SIMD lanes, and equal to a replay of the full token
+// history from the zero state — tests/test_sessions.cpp pins this against a
+// golden token fixture.
 //
-// Per-token deadlines are execution-aware (the server default): a step
-// fails with kDeadlineExpired when it is still queued past
+// Per-token deadlines are execution-aware: a step fails with
+// kDeadlineExpired when it is still queued past
 // SessionManagerOptions::token_deadline, when its remaining slack drops
 // below the server's per-layer execution estimate (refused at dispatch), or
 // when in-flight work is shed at a layer boundary. Every such miss is
@@ -65,8 +66,8 @@ namespace bswp::runtime {
 using SessionId = std::uint64_t;
 
 struct SessionManagerOptions {
-  /// Per-token deadline forwarded as SubmitOptions::deadline (0 = none);
-  /// execution-aware under ServerOptions::execution_aware_deadlines. An
+  /// Per-token deadline forwarded as SubmitOptions::deadline (0 = none),
+  /// which the server enforces against its execution estimate. An
   /// expired or shed step is retried without a deadline: misses are
   /// counted, tokens are never dropped.
   std::chrono::microseconds token_deadline{0};
@@ -74,16 +75,6 @@ struct SessionManagerOptions {
   std::chrono::milliseconds session_ttl{0};
   /// open_session() throws once this many sessions are open.
   std::size_t max_sessions = 1024;
-  /// true (default): recurrent state is kept per session and each token is
-  /// ONE decode step. false: cold-resubmit ablation — every token recomputes
-  /// from the zero state through the full history (the stateless-serving
-  /// baseline bench/bench_sessions.cpp compares against). Both modes emit
-  /// bit-identical token streams; only the step count differs.
-  bool warm_state = true;
-  /// Priority class of decode-step requests (default kHigh: a token step on
-  /// a latency-sensitive chain should not queue behind bulk one-shot
-  /// traffic on the same model).
-  RequestClass token_class = RequestClass::kHigh;
   /// Retained per-token latency samples, manager-wide and per session.
   std::size_t token_latency_window = 1 << 14;
   /// Time source for TTL expiry and decode timing (null = the process
@@ -97,8 +88,7 @@ struct SessionManagerOptions {
 struct TokenEvent {
   int index = 0;         // 0-based position in this generation
   int token = 0;         // emitted token id
-  double latency_us = 0; // end-to-end step latency (all steps for this
-                         // token — cold mode replays the history)
+  double latency_us = 0; // end-to-end decode-step latency
 };
 using TokenCallback = std::function<void(const TokenEvent&)>;
 
@@ -188,9 +178,9 @@ class SessionManager {
     SessionId id = 0;
     std::string model;
     models::TokenLmOptions lm;
-    std::vector<float> state;     // warm recurrent state (empty = zero)
-    std::vector<int> history;     // every token fed or emitted (cold replay
-                                  // + empty-prompt continuation)
+    std::vector<float> state;     // recurrent state (empty = zero)
+    int last_token = -1;          // last token fed or emitted (-1 = none):
+                                  // the next generation feeds it first
     bool generating = false;
     bool closed = false;          // close requested mid-generation
     std::chrono::steady_clock::time_point last_used;

@@ -338,102 +338,4 @@ CostCounter simd_bitserial_linear_cost(int in_features, int out_features, int ac
   return c;
 }
 
-// --- batched closed forms ----------------------------------------------------
-
-namespace {
-
-/// Batch scaling with the stationary operand amortized: every event of the
-/// per-image form scales by `batch` except the flash-stream events (weight
-/// and index streams, LUT block copies, random LUT byte reads), which the
-/// batched cores issue once per batch because the flash-resident operand
-/// stays hot while the image loop runs inside the filter/context loop.
-CostCounter batch_amortized(const CostCounter& per, int batch) {
-  CostCounter c;
-  for (int i = 0; i < kNumEvents; ++i) {
-    const Event e = static_cast<Event>(i);
-    const bool stationary = e == Event::kFlashRandomByte || e == Event::kFlashSeqByte ||
-                            e == Event::kFlashSeqWord;
-    c.add(e, per.count(e) * (stationary ? 1ull : static_cast<uint64_t>(batch)));
-  }
-  return c;
-}
-
-}  // namespace
-
-CostCounter baseline_conv_cost_batched(const nn::ConvSpec& spec, int in_h, int in_w, int batch) {
-  return batch_amortized(baseline_conv_cost(spec, in_h, in_w), batch);
-}
-
-CostCounter baseline_linear_cost_batched(int in_features, int out_features, int batch) {
-  return batch_amortized(baseline_linear_cost(in_features, out_features), batch);
-}
-
-CostCounter bitserial_conv_cost_batched(const nn::ConvSpec& spec, int in_h, int in_w,
-                                        int act_bits, const pool::DotLut& lut,
-                                        const kernels::PackedIndices& indices,
-                                        kernels::BitSerialVariant variant, int batch) {
-  return batch_amortized(bitserial_conv_cost(spec, in_h, in_w, act_bits, lut, indices, variant),
-                         batch);
-}
-
-CostCounter bitserial_linear_cost_batched(int in_features, int act_bits, const pool::DotLut& lut,
-                                          const kernels::PackedIndices& indices,
-                                          kernels::BitSerialVariant variant, int batch) {
-  return batch_amortized(bitserial_linear_cost(in_features, act_bits, lut, indices, variant),
-                         batch);
-}
-
-CostCounter simd_conv_cost_batched(const nn::ConvSpec& spec, int in_h, int in_w, int batch) {
-  // The SIMD lane keeps weights in SRAM, so the amortized term is the weight
-  // half of the dot-product stream (one of the two kSramReads per step): the
-  // 4-wide filter tile loads each weight row once per batch and sweeps it
-  // across all staged columns. Everything else scales with the batch.
-  CostCounter c;
-  const auto nb = static_cast<uint64_t>(batch);
-  const int oh = spec.out_h(in_h), ow = spec.out_w(in_w);
-  const auto P = static_cast<uint64_t>(oh) * static_cast<uint64_t>(ow);
-  const int cg = spec.in_ch / spec.groups;
-  const uint64_t K = static_cast<uint64_t>(cg) * spec.kh * spec.kw;
-  const uint64_t stage = P * static_cast<uint64_t>(spec.groups) * K;
-  c.add(Event::kSramWrite, stage * nb);
-  c.add(Event::kSramRead, stage * nb);
-  const uint64_t pf = P * static_cast<uint64_t>(spec.out_ch);
-  const uint64_t steps = K / 16 + K % 16;
-  c.add(Event::kMac, pf * steps * nb);
-  c.add(Event::kSramRead, pf * steps * nb + pf * steps);  // columns x batch + weights once
-  c.add(Event::kAlu, pf * 4 * nb);
-  c.add(Event::kBranch, pf * nb);
-  c.add(Event::kRequant, pf * nb);
-  c.add(Event::kSramWrite, pf * nb);
-  return c;
-}
-
-CostCounter simd_linear_cost_batched(int in_features, int out_features, int batch) {
-  CostCounter c;
-  const auto nb = static_cast<uint64_t>(batch);
-  const auto fin = static_cast<uint64_t>(in_features);
-  c.add(Event::kSramRead, fin * nb);
-  c.add(Event::kSramWrite, fin * nb);
-  const auto pf = static_cast<uint64_t>(out_features);
-  const uint64_t steps = fin / 16 + fin % 16;
-  c.add(Event::kMac, pf * steps * nb);
-  c.add(Event::kSramRead, pf * steps * nb + pf * steps);  // rows x batch + weights once
-  c.add(Event::kAlu, pf * 4 * nb);
-  c.add(Event::kBranch, pf * nb);
-  c.add(Event::kRequant, pf * nb);
-  c.add(Event::kSramWrite, pf * nb);
-  return c;
-}
-
-CostCounter simd_bitserial_conv_cost_batched(const nn::ConvSpec& spec, int in_h, int in_w,
-                                             int act_bits, const pool::DotLut& lut, int batch) {
-  return batch_amortized(simd_bitserial_conv_cost(spec, in_h, in_w, act_bits, lut), batch);
-}
-
-CostCounter simd_bitserial_linear_cost_batched(int in_features, int out_features, int act_bits,
-                                               const pool::DotLut& lut, int batch) {
-  return batch_amortized(simd_bitserial_linear_cost(in_features, out_features, act_bits, lut),
-                         batch);
-}
-
 }  // namespace bswp::sim

@@ -61,50 +61,4 @@ CostCounter simd_bitserial_conv_cost(const nn::ConvSpec& spec, int in_h, int in_
 CostCounter simd_bitserial_linear_cost(int in_features, int out_features, int act_bits,
                                        const pool::DotLut& lut);
 
-// --- batched closed forms ----------------------------------------------------
-//
-// Price one batched-core call over `batch` images, for SelectBackends to
-// weigh per-image vs batched execution at a serving batch hint. The model:
-// data-dependent work (activation reads, MACs, requant) scales with the
-// batch, while the stationary operand — flash-resident weights, packed
-// indices and LUT blocks, which the batched cores keep resident across
-// images — is charged once per batch instead of once per image. These are
-// host pricing models like the simd_* forms above; the batched kernels
-// deliberately still TALLY exactly batch x the per-image counts at run time
-// so MCU latency estimates stay batch-invariant.
-
-/// Batched kernels::baseline_conv2d_batch pricing (weights stream once).
-CostCounter baseline_conv_cost_batched(const nn::ConvSpec& spec, int in_h, int in_w, int batch);
-
-/// Batched kernels::baseline_linear_batch pricing.
-CostCounter baseline_linear_cost_batched(int in_features, int out_features, int batch);
-
-/// Batched kernels::bitserial_conv2d_batch pricing (LUT cache fills and
-/// index streams once per batch).
-CostCounter bitserial_conv_cost_batched(const nn::ConvSpec& spec, int in_h, int in_w,
-                                        int act_bits, const pool::DotLut& lut,
-                                        const kernels::PackedIndices& indices,
-                                        kernels::BitSerialVariant variant, int batch);
-
-/// Batched kernels::bitserial_linear_batch pricing.
-CostCounter bitserial_linear_cost_batched(int in_features, int act_bits, const pool::DotLut& lut,
-                                          const kernels::PackedIndices& indices,
-                                          kernels::BitSerialVariant variant, int batch);
-
-/// Batched kernels::simd::simd_conv2d_batch pricing (4-wide filter tiles
-/// load each weight row once per batch).
-CostCounter simd_conv_cost_batched(const nn::ConvSpec& spec, int in_h, int in_w, int batch);
-
-/// Batched kernels::simd::simd_linear_batch pricing.
-CostCounter simd_linear_cost_batched(int in_features, int out_features, int batch);
-
-/// Batched kernels::simd::simd_bitserial_conv2d_batch pricing (index gather
-/// loads once per batch).
-CostCounter simd_bitserial_conv_cost_batched(const nn::ConvSpec& spec, int in_h, int in_w,
-                                             int act_bits, const pool::DotLut& lut, int batch);
-
-/// Batched kernels::simd::simd_bitserial_linear_batch pricing.
-CostCounter simd_bitserial_linear_cost_batched(int in_features, int out_features, int act_bits,
-                                               const pool::DotLut& lut, int batch);
-
 }  // namespace bswp::sim

@@ -7,6 +7,7 @@
 // ServingPool's chunked batched steal loop.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <span>
 #include <vector>
 
@@ -230,63 +231,70 @@ TEST(BatchedExecutor, XnorBatchBitIdenticalToScalarAndCounterInvariantOnBothLane
 
 // --- ServingPool chunked batched steal loop ----------------------------------
 
-TEST(BatchedServingPool, ChunkedBatchesBitIdenticalToPerImagePool) {
-  // exec_batch = 1 reproduces the per-image steal loop; larger widths route
-  // each stolen chunk through one run_batch_view. All settings must agree
-  // bit-for-bit, including a ragged tail (17 images, chunks of 4).
+TEST(BatchedServingPool, ChunkedBatchesBitIdenticalToPerImageExecutor) {
+  // The caller and the pool threads steal kExecBatch-image chunks, each one
+  // run_batch_view call. Every image must match a one-image Executor::run,
+  // for batches smaller than, equal to and ragged past one chunk.
   ZooCase c = make_case(models::paper_models()[0], 33, 17);
   bswp::Deployment dep = make_deployment(c);
   bswp::Session s = dep.compile();
+  Executor ref_exec(s.network());
+  std::vector<QTensor> ref;
+  for (const Tensor& x : c.images) ref.push_back(ref_exec.run(x));
 
-  ServingPool per_image(s.network(), /*exec_batch=*/1);
-  std::vector<QTensor> ref = per_image.run(c.images, 2);
-  for (int exec_batch : {3, 4, 8}) {
-    ServingPool pool(s.network(), exec_batch);
-    for (int workers : {1, 3}) {
+  ServingPool pool(s.network());
+  for (std::size_t n : {1, 7, 8, 9, 17}) {
+    const std::span<const Tensor> images(c.images.data(), n);
+    for (int workers : {1, 2, 3}) {
       BatchStats st;
-      const std::vector<QTensor> got = pool.run(c.images, workers, &st);
-      ASSERT_EQ(got.size(), ref.size());
-      for (std::size_t i = 0; i < ref.size(); ++i) {
-        EXPECT_EQ(got[i].data, ref[i].data)
-            << "exec_batch=" << exec_batch << " workers=" << workers << " image=" << i;
+      const std::vector<QTensor> got = pool.run(images, workers, &st);
+      ASSERT_EQ(got.size(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(got[i].data, ref[i].data) << "n=" << n << " workers=" << workers
+                                            << " image=" << i;
+        EXPECT_EQ(got[i].scale, ref[i].scale);
       }
-      EXPECT_EQ(st.latency.count, c.images.size());
+      EXPECT_EQ(st.images, n);
+      EXPECT_EQ(st.workers, std::min(workers, static_cast<int>(n)));
+      EXPECT_EQ(st.latency.count, n);
       EXPECT_GT(st.latency.mean_us, 0.0);
     }
   }
 }
 
 TEST(BatchedServingPool, FailedBatchLeavesStatsUntouchedUnderChunking) {
-  // PR-4 semantics must survive chunked execution: a failing image aborts
-  // the batch early, the first error is rethrown after quiescence, the
-  // caller's stats stay untouched, and the pool serves the next batch.
-  ZooCase c = make_case(models::paper_models()[0], 44, 9);
+  // A failing image aborts the batch early, the first error is rethrown
+  // after quiescence, the caller's stats stay untouched, and the pool serves
+  // the next batch. A bad image in every chunk puts one on the caller's own
+  // chunk whichever chunk it steals; workers = 1 is the caller alone.
+  ZooCase c = make_case(models::paper_models()[0], 44, 17);
   bswp::Deployment dep = make_deployment(c);
   bswp::Session s = dep.compile();
 
   std::vector<Tensor> images = c.images;
-  const Tensor good = images[4];
-  images[4] = Tensor({5, 16, 16}, 0.1f);  // wrong channel count
+  for (std::size_t i = 0; i < images.size(); i += ServingPool::kExecBatch) {
+    images[i] = Tensor({5, 16, 16}, 0.1f);  // wrong channel count
+  }
 
-  ServingPool pool(s.network(), /*exec_batch=*/4);
+  ServingPool pool(s.network());
   BatchStats st;
-  st.images = 777;
-  st.workers = -3;
-  st.latency.p99_us = 123.0;
-  EXPECT_THROW(pool.run(images, 3, &st), std::invalid_argument);
-  EXPECT_EQ(st.images, 777u);
-  EXPECT_EQ(st.workers, -3);
-  EXPECT_EQ(st.latency.p99_us, 123.0);
-  // Single-worker inline path takes the same chunked route.
-  EXPECT_THROW(pool.run(images, 1, &st), std::invalid_argument);
-  EXPECT_EQ(st.images, 777u);
+  for (int workers : {1, 2, 3}) {
+    st.images = 777;
+    st.workers = -3;
+    st.latency.p99_us = 123.0;
+    EXPECT_THROW(pool.run(images, workers, &st), std::invalid_argument) << workers;
+    EXPECT_EQ(st.images, 777u);
+    EXPECT_EQ(st.workers, -3);
+    EXPECT_EQ(st.latency.p99_us, 123.0);
+  }
 
-  images[4] = good;
-  const std::vector<QTensor> ok = pool.run(images, 3, &st);
-  ASSERT_EQ(ok.size(), images.size());
-  EXPECT_EQ(st.images, images.size());
+  const std::vector<QTensor> ok = pool.run(c.images, 3, &st);
+  ASSERT_EQ(ok.size(), c.images.size());
+  EXPECT_EQ(st.images, c.images.size());
   Executor check_exec(s.network());
-  EXPECT_EQ(ok[4].data, check_exec.run(images[4]).data);
+  for (std::size_t i = 0; i < ok.size(); ++i) {
+    EXPECT_EQ(ok[i].data, check_exec.run(c.images[i]).data) << "image=" << i;
+  }
 }
 
 }  // namespace

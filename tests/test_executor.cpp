@@ -357,7 +357,7 @@ TEST(ServingPool, FailedBatchLeavesStatsUntouched) {
   EXPECT_EQ(st.images, 777u);
   EXPECT_EQ(st.workers, -3);
   EXPECT_EQ(st.latency.p99_us, 123.0);
-  // And the single-worker inline path:
+  // And the caller-only path:
   EXPECT_THROW(pool.run(images, 1, &st), std::invalid_argument);
   EXPECT_EQ(st.images, 777u);
 }

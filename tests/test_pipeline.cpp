@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
+
 #include "core/rng.h"
 #include "data/synthetic.h"
 #include "models/zoo.h"
@@ -109,24 +112,45 @@ TEST(Pipeline, ReluChainsProduceUnsignedZeroPointOutputs) {
   }
 }
 
-TEST(Pipeline, HeuristicModeFollowsFilterVsPoolRule) {
-  PipelineEnv s;  // pool size 16; widths 16/32/64 at width=0.25 -> some layers > 16
-  CompileOptions opt;
-  opt.backend_select = BackendSelect::kHeuristic;
-  CompiledNetwork net = compile(s.graph, &s.pooled, s.cal, opt);
+/// The paper's §4.2-4.3 layer policy, restated as the test's oracle:
+/// precompute when filters exceed the pool size, cache when the filter loop
+/// amortizes the block copies, flash reads otherwise; linear layers cache.
+kernels::BitSerialVariant filters_vs_pool_variant(const LayerPlan& p, int pool_size) {
+  if (p.kind == PlanKind::kLinearBitSerial) return kernels::BitSerialVariant::kCached;
+  if (p.spec.out_ch > pool_size) return kernels::BitSerialVariant::kCachedPrecompute;
+  if (p.spec.out_ch * 4 >= pool_size) return kernels::BitSerialVariant::kCached;
+  return kernels::BitSerialVariant::kInputReuse;
+}
+
+const LayerPlan& plan_named(const CompiledNetwork& net, const std::string& name) {
   for (const LayerPlan& p : net.plans) {
-    if (p.kind != PlanKind::kConvBitSerial) continue;
-    if (p.spec.out_ch > 16) {
-      EXPECT_EQ(p.variant, kernels::BitSerialVariant::kCachedPrecompute) << p.name;
-    } else {
-      EXPECT_EQ(p.variant, kernels::BitSerialVariant::kCached) << p.name;
-    }
+    if (p.name == name) return p;
   }
+  throw std::runtime_error("no plan named " + name);
+}
+
+TEST(Pipeline, HeuristicCyclesFollowFilterVsPoolRule) {
+  PipelineEnv s(0.5f);  // pool size 16; widths 8/16/32 -> the 32-filter stage > 16
+  CompileReport report;
+  CompiledNetwork net = compile(s.graph, &s.pooled, s.cal, CompileOptions{}, &report);
+  int precompute = 0, cached = 0;
+  for (const BackendChoice& c : report.backend_choices) {
+    const kernels::BitSerialVariant v =
+        filters_vs_pool_variant(plan_named(net, c.layer), net.lut.pool_size);
+    (v == kernels::BitSerialVariant::kCachedPrecompute ? precompute : cached) += 1;
+    const std::string want = std::string("bitserial/") + kernels::variant_name(v);
+    const auto cand = std::find_if(c.candidates.begin(), c.candidates.end(),
+                                   [&](const BackendCandidate& k) { return k.backend == want; });
+    ASSERT_NE(cand, c.candidates.end()) << c.layer;
+    EXPECT_EQ(c.heuristic_cycles, cand->cycles) << c.layer << " " << want;
+  }
+  EXPECT_GT(precompute, 0);  // the env exercises both arms of the rule
+  EXPECT_GT(cached, 0);
 }
 
 TEST(Pipeline, CostModelSelectionReportIsOptimalPerLayer) {
   PipelineEnv s;
-  CompileOptions opt;  // default: BackendSelect::kCostModel
+  CompileOptions opt;
   CompileReport report;
   CompiledNetwork net = compile(s.graph, &s.pooled, s.cal, opt, &report);
   ASSERT_FALSE(report.backend_choices.empty());
@@ -148,11 +172,14 @@ TEST(Pipeline, CostModelSelectionReportIsOptimalPerLayer) {
 
 TEST(Pipeline, CostModelMatchesOrBeatsHeuristicLatency) {
   PipelineEnv s;
-  CompileOptions cost_opt;
-  CompileOptions heur_opt;
-  heur_opt.backend_select = BackendSelect::kHeuristic;
-  CompiledNetwork cost_net = compile(s.graph, &s.pooled, s.cal, cost_opt);
-  CompiledNetwork heur_net = compile(s.graph, &s.pooled, s.cal, heur_opt);
+  CompiledNetwork cost_net = compile(s.graph, &s.pooled, s.cal, CompileOptions{});
+  // The same network with every pooled layer re-pointed at the §4.3 variant.
+  CompiledNetwork heur_net = cost_net;
+  for (LayerPlan& p : heur_net.plans) {
+    if (p.kind == PlanKind::kConvBitSerial || p.kind == PlanKind::kLinearBitSerial) {
+      p.variant = filters_vs_pool_variant(p, heur_net.lut.pool_size);
+    }
+  }
   Tensor x({1, 3, 16, 16}, 0.25f);
   const LatencyReport cost_lat = estimate_latency(cost_net, sim::mc_large(), x);
   const LatencyReport heur_lat = estimate_latency(heur_net, sim::mc_large(), x);

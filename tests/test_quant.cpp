@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "core/rng.h"
 #include "data/synthetic.h"
@@ -76,6 +78,29 @@ TEST(ClipSearch, PrefersClippingHeavyTails) {
   EXPECT_LT(clip, 1.0f);
   EXPECT_GT(clip, 0.05f);
   EXPECT_LT(unsigned_quant_mse(vals, 4, clip), unsigned_quant_mse(vals, 4, 2.0f));
+}
+
+TEST(ClipSearch, QuantMseMatchesStdRoundReference) {
+  // The MSE prices every clip candidate, so it must equal the plain
+  // std::round formulation exactly: ties (k + 0.5 steps), signed zeros,
+  // values past the range and below zero, at every bitwidth.
+  std::vector<float> vals = {-0.0f, 0.0f, -1.0f, 3.0f, 1e30f};
+  Rng rng(7);
+  for (int i = 0; i < 4000; ++i) vals.push_back(static_cast<float>(rng.uniform(-0.5, 2.5)));
+  for (int k = 0; k < 64; ++k) vals.push_back((static_cast<float>(k) + 0.5f) / 15.0f);
+  for (int bits : {1, 2, 4, 8, 12, 16}) {
+    for (float range : {0.3f, 1.0f, 2.0f}) {
+      const float step = range / static_cast<float>((1 << bits) - 1);
+      double ref = 0.0;
+      for (float v : vals) {
+        const double e = static_cast<double>(v) -
+                         std::round(std::clamp(v, 0.0f, range) / step) * step;
+        ref += e * e;
+      }
+      ref /= static_cast<double>(vals.size());
+      EXPECT_EQ(unsigned_quant_mse(vals, bits, range), ref) << bits << " " << range;
+    }
+  }
 }
 
 TEST(ClipSearch, UniformDataClipsNearMax) {

@@ -3,6 +3,9 @@
 // small but non-trivial pooled network.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+
 #include "core/rng.h"
 #include "data/synthetic.h"
 #include "quant/calibrate.h"
@@ -123,8 +126,10 @@ TEST_P(LutBitsGrid, WideLutMatchesNoLutLogitsClosely) {
 INSTANTIATE_TEST_SUITE_P(Table5Grid, LutBitsGrid, ::testing::Values(4, 8, 16, 32));
 
 TEST(RuntimePolicy, NarrowLayersSkipLutCaching) {
-  // With a 64-entry pool, an 8-filter layer cannot amortize the block copies
-  // and compiles to plain input-reuse; >=16 filters get the cache.
+  // The §4.3 policy the report prices beside every cost-model choice: with a
+  // 64-entry pool, an 8-filter layer cannot amortize the block copies and
+  // gets plain input-reuse; >=16 filters get the cache; more filters than
+  // pool entries get the precomputed cache.
   nn::Graph g;
   int x = g.input(8, 8, 8);
   x = g.conv2d(x, 8, 3, 1, 1);
@@ -157,17 +162,23 @@ TEST(RuntimePolicy, NarrowLayersSkipLutCaching) {
   co.pool_size = 64;
   co.kmeans_iters = 4;
   pool::PooledNetwork pooled = pool::build_weight_pool(g, co);
-  CompileOptions opt;
-  opt.backend_select = BackendSelect::kHeuristic;  // this tests the §4.3 policy
-  CompiledNetwork net = compile(g, &pooled, cal, opt);
-  std::vector<kernels::BitSerialVariant> variants;
-  for (const LayerPlan& p : net.plans) {
-    if (p.kind == PlanKind::kConvBitSerial) variants.push_back(p.variant);
+  CompileReport report;
+  compile(g, &pooled, cal, CompileOptions{}, &report);
+  using kernels::BitSerialVariant;
+  const BitSerialVariant rule[] = {
+      BitSerialVariant::kInputReuse,        // 8 filters
+      BitSerialVariant::kCached,            // 16 filters
+      BitSerialVariant::kCachedPrecompute,  // 96 filters
+  };
+  ASSERT_EQ(report.backend_choices.size(), std::size(rule));
+  for (std::size_t i = 0; i < std::size(rule); ++i) {
+    const BackendChoice& c = report.backend_choices[i];
+    const std::string want = std::string("bitserial/") + kernels::variant_name(rule[i]);
+    const auto cand = std::find_if(c.candidates.begin(), c.candidates.end(),
+                                   [&](const BackendCandidate& k) { return k.backend == want; });
+    ASSERT_NE(cand, c.candidates.end()) << c.layer;
+    EXPECT_EQ(c.heuristic_cycles, cand->cycles) << c.layer << " " << want;
   }
-  ASSERT_EQ(variants.size(), 3u);
-  EXPECT_EQ(variants[0], kernels::BitSerialVariant::kInputReuse);        // 8 filters
-  EXPECT_EQ(variants[1], kernels::BitSerialVariant::kCached);            // 16 filters
-  EXPECT_EQ(variants[2], kernels::BitSerialVariant::kCachedPrecompute);  // 96 filters
 }
 
 class GroupSizeGrid : public ::testing::TestWithParam<int> {};

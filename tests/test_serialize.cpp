@@ -4,8 +4,11 @@
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "core/rng.h"
 #include "data/synthetic.h"
@@ -134,6 +137,44 @@ TEST(Serialize, RejectsTruncation) {
   std::stringstream cut;
   cut << full.substr(0, full.size() / 2);
   EXPECT_THROW(load_network(cut), std::runtime_error);
+}
+
+TEST(Serialize, RejectsStructuralCorruptions) {
+  // Unchecked, each mutation loads cleanly and then crashes the Executor
+  // (input index out of range, zero pooling window) or serves silently wrong
+  // logits (pool index past the pool, unknown LUT order).
+  Env& e = env();
+  const auto first_of = [&](PlanKind kind) -> std::size_t {
+    for (std::size_t i = 0; i < e.net.plans.size(); ++i) {
+      if (e.net.plans[i].kind == kind) return i;
+    }
+    ADD_FAILURE() << "no plan of the wanted kind";
+    return 0;
+  };
+  const std::size_t maxpool = first_of(PlanKind::kMaxPool);
+  const std::size_t bitserial = first_of(PlanKind::kConvBitSerial);
+  const std::size_t last = e.net.plans.size() - 1;
+  const std::vector<std::pair<const char*, std::function<void(CompiledNetwork&)>>> mutations = {
+      {"input past the plan list",
+       [&](CompiledNetwork& n) { n.plans[last].inputs[0] = static_cast<int>(n.plans.size()); }},
+      {"input naming its own plan",
+       [&](CompiledNetwork& n) { n.plans[last].inputs[0] = static_cast<int>(last); }},
+      {"negative input", [&](CompiledNetwork& n) { n.plans[last].inputs[0] = -1; }},
+      {"maxpool pool_k = 0", [&](CompiledNetwork& n) { n.plans[maxpool].pool_k = 0; }},
+      {"maxpool pool_stride = 0", [&](CompiledNetwork& n) { n.plans[maxpool].pool_stride = 0; }},
+      {"packed indices = 255",
+       [&](CompiledNetwork& n) {
+         for (uint8_t& ix : n.plans[bitserial].indices.idx) ix = 255;
+       }},
+      {"lut.order = 7", [](CompiledNetwork& n) { n.lut.order = static_cast<pool::LutOrder>(7); }},
+  };
+  for (const auto& [what, mutate] : mutations) {
+    CompiledNetwork bad = e.net;
+    mutate(bad);
+    std::stringstream buf;
+    save_network(bad, buf);
+    EXPECT_THROW(load_network(buf), std::runtime_error) << what;
+  }
 }
 
 TEST(Serialize, MissingFileThrows) {

@@ -472,9 +472,8 @@ TEST(InferenceServer, WeightedSchedulingNeverStarvesColdModelUnderHotSaturation)
 
 TEST(InferenceServer, RoundRobinPolicyStillServesAllModels) {
   SmallModel& m = small_model();
-  ServerOptions so = quick_options(/*workers=*/2, /*max_batch=*/4, 500us);
-  so.schedule = SchedulePolicy::kRoundRobin;
-  InferenceServer server(so);
+  // Equal weights: the weighted-deficit scheduler is fair round-robin.
+  InferenceServer server(quick_options(/*workers=*/2, /*max_batch=*/4, 500us));
   server.register_model("a", m.session.network());
   server.register_model("b", m.session.network());
 

@@ -1,7 +1,7 @@
 // Session-serving tests: the token LM zoo entry (graph shape, 16-bit head,
 // embedding/decode helpers, rollout dataset), greedy-decode determinism
 // pinned against a golden token fixture and across runs / worker counts /
-// scalar-vs-SIMD lanes / warm-vs-cold serving modes, session lifecycle
+// scalar-vs-SIMD lanes / a cold replay of the token history, session lifecycle
 // (open/close/TTL expiry/max_sessions), concurrent session isolation,
 // mid-generation close and shutdown semantics, per-token deadline
 // miss-and-retry, session-affinity accounting, and the bswp::SessionServer
@@ -89,13 +89,10 @@ LmFixture& lm_fixture() {
 
 /// Serve one generation on a fresh SessionServer and return its tokens.
 std::vector<int> generate_tokens(const bswp::Session& session, const models::TokenLmOptions& lm,
-                                 int workers, const std::vector<int>& prompt, int max_tokens,
-                                 bool warm = true) {
+                                 int workers, const std::vector<int>& prompt, int max_tokens) {
   ServerOptions so;
   so.workers = workers;
-  SessionManagerOptions mo;
-  mo.warm_state = warm;
-  bswp::SessionServer srv(so, mo);
+  bswp::SessionServer srv(so);
   srv.add("lm", session, lm);
   const SessionId id = srv.open("lm");
   GenerationResult r = srv.generate(id, prompt, max_tokens);
@@ -315,12 +312,30 @@ TEST(Sessions, BitIdenticalAcrossScalarAndSimdLanes) {
   EXPECT_EQ(generate_tokens(lm_fixture().session, lm_fixture().lm, 2, prompt, 24), ref);
 }
 
+/// The oracle for warm serving: every emission replays the whole token
+/// `history` from the zero state through Session::run, then appends the
+/// emitted token to it. No server, no session manager, no carried state.
+std::vector<int> replay_tokens(const bswp::Session& session, const models::TokenLmOptions& lm,
+                               std::vector<int>* history, int max_tokens) {
+  std::vector<int> emitted;
+  for (int n = 0; n < max_tokens; ++n) {
+    std::vector<float> state;
+    QTensor out;
+    for (int t : *history) {
+      out = session.run(models::token_lm_input(lm, t, &state));
+      models::token_lm_decode(lm, out, &state);
+    }
+    emitted.push_back(models::token_lm_decode(lm, out, nullptr));
+    history->push_back(emitted.back());
+  }
+  return emitted;
+}
+
 TEST(Sessions, WarmAndColdServingEmitIdenticalTokens) {
   LmFixture& f = lm_fixture();
-  const std::vector<int> prompt = {6, 1};
-  const std::vector<int> warm = generate_tokens(f.session, f.lm, 2, prompt, 16, /*warm=*/true);
-  const std::vector<int> cold = generate_tokens(f.session, f.lm, 2, prompt, 16, /*warm=*/false);
-  EXPECT_EQ(warm, cold);
+  std::vector<int> history = {6, 1};
+  const std::vector<int> warm = generate_tokens(f.session, f.lm, 2, history, 16);
+  EXPECT_EQ(warm, replay_tokens(f.session, f.lm, &history, 16));
 }
 
 TEST(Sessions, EmptyPromptContinuesTheSequenceExactly) {
@@ -351,24 +366,6 @@ TEST(Sessions, EmptyPromptContinuesTheSequenceExactly) {
   EXPECT_THROW(srv.generate(fresh, {}, 4), std::invalid_argument);
 }
 
-/// Two generate() calls with non-empty prompts on one session; returns the
-/// concatenated token stream. Exercises the warm continuation path where the
-/// previous generation's last emitted token is still unfed.
-std::vector<int> two_call_tokens(bool warm) {
-  LmFixture& f = lm_fixture();
-  ServerOptions so;
-  so.workers = 2;
-  SessionManagerOptions mo;
-  mo.warm_state = warm;
-  bswp::SessionServer srv(so, mo);
-  srv.add("lm", f.session, f.lm);
-  const SessionId id = srv.open("lm");
-  std::vector<int> tokens = srv.generate(id, {6, 1}, 8).tokens;
-  const std::vector<int> more = srv.generate(id, {4, 9}, 8).tokens;
-  tokens.insert(tokens.end(), more.begin(), more.end());
-  return tokens;
-}
-
 TEST(Sessions, PromptedContinuationFeedsTheUnfedTail) {
   LmFixture& f = lm_fixture();
   // A prompt split across calls walks the single-call trajectory: after the
@@ -384,9 +381,15 @@ TEST(Sessions, PromptedContinuationFeedsTheUnfedTail) {
   EXPECT_EQ(srv.generate(id, {9, 2}, 24).tokens, full);
 
   // Prompted continuation after emitted tokens: warm serving must feed the
-  // previous generation's last emission before the new prompt, exactly as
-  // cold replay does — the cross-call half of the warm/cold contract.
-  EXPECT_EQ(two_call_tokens(/*warm=*/true), two_call_tokens(/*warm=*/false));
+  // previous generation's last emission before the new prompt, exactly as a
+  // replay of the full history does — the cross-call half of the contract.
+  const SessionId two = srv.open("lm");
+  const std::vector<int> first = srv.generate(two, {6, 1}, 8).tokens;
+  const std::vector<int> second = srv.generate(two, {4, 9}, 8).tokens;
+  std::vector<int> history = {6, 1};
+  EXPECT_EQ(first, replay_tokens(f.session, f.lm, &history, 8));
+  history.insert(history.end(), {4, 9});
+  EXPECT_EQ(second, replay_tokens(f.session, f.lm, &history, 8));
 }
 
 TEST(Sessions, ConcurrentSessionsStayIsolatedAndDeterministic) {

@@ -142,30 +142,35 @@ void micro_benchmarks(JsonWriter& jw) {
     add_pair(jw, "linear_f" + std::to_string(fin), scalar_us, simd_us);
   }
 
-  // Bit-serial LUT accumulate (widened: 8 output channels per gather step).
-  for (int act_bits : {8, 4}) {
-    LayerFixture f(64, 64, act_bits);
-    const int oh = f.spec.out_h(16), ow = f.spec.out_w(16);
-    QTensor out_s({1, 64, oh, ow}, 8, false), out_v = out_s;
-    QView in = QView::of(f.input), vs = QView::of(out_s), vv = QView::of(out_v);
-    const std::size_t in_n = f.input.size(), out_n = out_s.size();
-    ScratchArena ss(
-        kernels::bitserial_host_scratch_bytes(64, f.lut.pool_size, f.lut.group_size, 1));
-    ScratchArena sv(kernels::simd::simd_bitserial_conv_scratch_bytes(
-        f.spec, 16, 16, f.lut.pool_size, f.lut.group_size, 1));
-    const auto variant = kernels::BitSerialVariant::kCached;
-    const double scalar_us = time_us(iters, [&] {
-      ss.reset();
-      kernels::bitserial_conv2d(in, in_n, 1, f.indices, f.lut, f.spec, f.rq, variant, vs, out_n,
-                                ss, nullptr);
-    });
-    const double simd_us = time_us(iters, [&] {
-      sv.reset();
-      kernels::simd::simd_bitserial_conv2d(in, in_n, 1, f.indices, f.lut, f.spec, f.rq, variant,
-                                           vv, out_n, sv, nullptr);
-    });
-    check_identical(out_s, out_v, "bitserial");
-    add_pair(jw, "bitserial_c64_b" + std::to_string(act_bits), scalar_us, simd_us);
+  // Bit-serial LUT accumulate: 64 filters take the pool-precompute path (8
+  // output channels per gather step); the stage-1 8->8 geometry sits below
+  // the S = 64 precompute line and takes the layer-table path.
+  for (int c : {64, 8}) {
+    for (int act_bits : {8, 4}) {
+      LayerFixture f(c, c, act_bits);
+      const int oh = f.spec.out_h(16), ow = f.spec.out_w(16);
+      QTensor out_s({1, c, oh, ow}, 8, false), out_v = out_s;
+      QView in = QView::of(f.input), vs = QView::of(out_s), vv = QView::of(out_v);
+      const std::size_t in_n = f.input.size(), out_n = out_s.size();
+      ScratchArena ss(
+          kernels::bitserial_host_scratch_bytes(c, f.lut.pool_size, f.lut.group_size, 1));
+      ScratchArena sv(
+          kernels::simd::simd_bitserial_conv_scratch_bytes(f.spec, 16, 16, act_bits, f.lut, 1));
+      const auto variant = kernels::BitSerialVariant::kCached;
+      const double scalar_us = time_us(iters, [&] {
+        ss.reset();
+        kernels::bitserial_conv2d(in, in_n, 1, f.indices, f.lut, f.spec, f.rq, variant, vs,
+                                  out_n, ss, nullptr);
+      });
+      const double simd_us = time_us(iters, [&] {
+        sv.reset();
+        kernels::simd::simd_bitserial_conv2d(in, in_n, 1, f.indices, f.lut, f.spec, f.rq,
+                                             variant, vv, out_n, sv, nullptr);
+      });
+      check_identical(out_s, out_v, "bitserial");
+      add_pair(jw, "bitserial_c" + std::to_string(c) + "_b" + std::to_string(act_bits),
+               scalar_us, simd_us);
+    }
   }
 
   // XNOR popcount core, 32-bit vs 64-bit words, on identical packed buffers.

@@ -10,6 +10,8 @@
 #include "kernels/simd/simd_kernels.h"
 #include "runtime/kernel_backend.h"
 
+#include <algorithm>
+
 namespace bswp::runtime {
 namespace {
 
@@ -55,10 +57,14 @@ class SimdBitSerialConvBackend : public KernelBackend {
   }
   std::size_t scratch_bytes_batch(const CompiledNetwork& net, const LayerPlan& plan,
                                   int batch) const override {
-    // The producing plan's out_chw gives the input geometry.
-    const std::vector<int>& chw = net.plans[static_cast<std::size_t>(plan.inputs[0])].out_chw;
-    return kernels::simd::simd_bitserial_conv_scratch_bytes(
-        plan.spec, chw[1], chw[2], net.lut.pool_size, net.lut.group_size, batch);
+    // The producing plan's output gives the input geometry and bitwidth
+    // (clamped to the kernel's accepted 1..16 so a corrupt container cannot
+    // size a huge arena; the kernel rejects any other width).
+    const LayerPlan& src = net.plans[static_cast<std::size_t>(plan.inputs[0])];
+    return kernels::simd::simd_bitserial_conv_scratch_bytes(plan.spec, src.out_chw[1],
+                                                            src.out_chw[2],
+                                                            std::clamp(src.out.bits, 1, 16),
+                                                            net.lut, batch);
   }
 
  private:

@@ -1,17 +1,31 @@
 // Widened bit-serial LUT accumulate (HostLane::kSimd).
 //
-// Per (output position, kernel tap, channel group) context the scalar
-// variants walk the filter loop doing per-filter LUT lookups; this core
-// instead always materializes all S pool dot products
-//   vals[s] = sum_j lut(bitvec[j], s) << j
-// — vectorized 8 int32 lanes at a time over the contiguous s axis of an
-// input-oriented LUT (weight-oriented layouts stride by 2^N per s, so they
-// precompute scalar) — and then processes 8 output channels per step:
-// _mm256_i32gather_epi32 over the packed uint8 pool indices feeds 8
-// accumulators per instruction. Every variant computes the identical sums
-// (they differ only in modeled cost), so one SIMD implementation serves all
-// five variant keys; `variant` only selects which scalar cost closed-form to
-// tally so MCU latency estimates stay faithful to the plan.
+// Every variant computes the identical sums (they differ only in modeled
+// cost), so one SIMD implementation serves all five variant keys; `variant`
+// only selects which scalar cost closed-form to tally so MCU latency
+// estimates stay faithful to the plan. The core has two dataflows:
+//
+//  * Pool precompute (the general case). Per (output position, kernel tap,
+//    channel group) context the scalar variants walk the filter loop doing
+//    per-filter LUT lookups; this path instead materializes all S pool dot
+//    products
+//      vals[s] = sum_j lut(bitvec[j], s) << j
+//    — vectorized 8 int32 lanes at a time over the contiguous s axis of an
+//    input-oriented LUT (weight-oriented layouts stride by 2^N per s, so they
+//    precompute scalar) — and then processes 8 output channels per step:
+//    _mm256_i32gather_epi32 over the packed uint8 pool indices feeds 8
+//    accumulators per instruction.
+//  * Layer table (simd_bitserial_uses_layer_table: fewer filters than pool
+//    vectors, G <= 8, and enough output rows to amortize the table). Below
+//    §4.3's precompute line most of the S pool values go unused, so the
+//    path works per (tap, group) instead of per context: every input
+//    pixel's channel groups are unpacked to byte bit-planes once per call,
+//    each (tap, group) builds the filter-restricted table
+//      T[bv][o] = lut(bv, idx[tap, g, o])      (2^G x F int32)
+//    and one sweep over every output position of every image adds M table
+//    rows of F lanes, T[plane_j] << j, into per-position accumulators that
+//    are requantized at the end. The terms are the scalar kernel's terms,
+//    summed in another order, so the int32 sums are identical.
 #include "kernels/bit_unpack.h"
 #include "kernels/simd/simd_dispatch.h"
 #include "kernels/simd/simd_kernels.h"
@@ -27,6 +41,15 @@
 
 namespace bswp::kernels::simd {
 namespace {
+
+/// A kernel tap's in-bounds output window for the layer-table sweep: output
+/// (oy, ox) in [oy0, oy1) x [ox0, ox1) reads input pixel
+/// (oy*stride + dy, ox*stride + dx) of a w-wide plane; `ow` strides the
+/// per-position accumulators.
+struct TapWindow {
+  int oy0, oy1, ox0, ox1;
+  int dy, dx, stride, w, ow;
+};
 
 #if defined(BSWP_SIMD_X86)
 
@@ -98,6 +121,70 @@ __attribute__((target("avx2"))) void unpack_tile8_avx2(const int16_t* base,
           acc, _mm256_slli_epi32(_mm256_and_si256(_mm256_srli_epi32(v, j), one), g));
     }
     _mm256_store_si256(reinterpret_cast<__m256i*>(bvt + j * 8), acc);
+  }
+}
+
+/// Layer-table build: T[bv*F + o] = lut(bv, idx[o]) for every bit-vector bv,
+/// one 8-filter gather from the input-oriented row bv per store.
+__attribute__((target("avx2"))) void build_table_avx2(const pool::DotLut& lut, const uint8_t* idx,
+                                                      int F, int32_t* table) {
+  const int S = lut.pool_size;
+  const int nbv = lut.num_bit_vectors();
+  const int32_t* e = lut.entries.data();
+  int o = 0;
+  for (; o + 8 <= F; o += 8) {
+    const __m256i iv =
+        _mm256_cvtepu8_epi32(_mm_loadl_epi64(reinterpret_cast<const __m128i*>(idx + o)));
+    for (int bv = 0; bv < nbv; ++bv) {
+      _mm256_storeu_si256(
+          reinterpret_cast<__m256i*>(table + static_cast<std::size_t>(bv) * F + o),
+          _mm256_i32gather_epi32(e + static_cast<std::size_t>(bv) * S, iv, 4));
+    }
+  }
+  for (; o < F; ++o) {
+    for (int bv = 0; bv < nbv; ++bv) {
+      table[static_cast<std::size_t>(bv) * F + o] = e[static_cast<std::size_t>(bv) * S + idx[o]];
+    }
+  }
+}
+
+/// Layer-table sweep of one (tap, group) over one image: every output
+/// position of the tap's in-bounds window adds its M table rows, 8 filters
+/// per vector.
+__attribute__((target("avx2"))) void sweep_tap_avx2(const int32_t* table, int F,
+                                                    const uint8_t* planes, std::size_t hw, int M,
+                                                    const TapWindow tw, int32_t* acc) {
+  const auto fz = static_cast<std::size_t>(F);
+  const auto stride = static_cast<std::ptrdiff_t>(tw.stride);
+  for (int oy = tw.oy0; oy < tw.oy1; ++oy) {
+    const std::ptrdiff_t row_px =
+        static_cast<std::ptrdiff_t>(oy * tw.stride + tw.dy) * tw.w + tw.dx;
+    const uint8_t* pl = planes + (row_px + tw.ox0 * stride);
+    int32_t* a = acc + (static_cast<std::size_t>(oy) * tw.ow + tw.ox0) * fz;
+    for (int ox = tw.ox0; ox < tw.ox1; ++ox, pl += stride, a += fz) {
+      // Horner over the planes, sum_j T[bv_j] << j = T[bv_0] + 2*(T[bv_1] +
+      // 2*(...)): equal modulo 2^32, with a constant doubling per plane.
+      int o = 0;
+      for (; o + 8 <= F; o += 8) {
+        const int32_t* t = table + o;
+        __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
+            t + pl[(M - 1) * hw] * fz));
+        for (int j = M - 2; j >= 0; --j) {
+          v = _mm256_add_epi32(_mm256_add_epi32(v, v),
+                               _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
+                                   t + pl[j * hw] * fz)));
+        }
+        const __m256i prev = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + o));
+        _mm256_storeu_si256(reinterpret_cast<__m256i*>(a + o), _mm256_add_epi32(prev, v));
+      }
+      for (; o < F; ++o) {
+        uint32_t v = 0;
+        for (int j = M - 1; j >= 0; --j) {
+          v = 2 * v + static_cast<uint32_t>(table[pl[j * hw] * fz + o]);
+        }
+        a[o] = static_cast<int32_t>(static_cast<uint32_t>(a[o]) + v);
+      }
+    }
   }
 }
 
@@ -185,40 +272,155 @@ void run_context_batch(const pool::DotLut& lut, const int16_t* base, std::size_t
   }
 }
 
-/// simd_bitserial_conv2d's body, instantiated for a compile-time single
+void build_table_portable(const pool::DotLut& lut, const uint8_t* idx, int F, int32_t* table) {
+  const int S = lut.pool_size;
+  const int32_t* e = lut.entries.data();
+  for (int bv = 0; bv < lut.num_bit_vectors(); ++bv) {
+    const int32_t* row = e + static_cast<std::size_t>(bv) * S;
+    int32_t* t = table + static_cast<std::size_t>(bv) * F;
+#pragma omp simd
+    for (int o = 0; o < F; ++o) t[o] = row[idx[o]];
+  }
+}
+
+void sweep_tap_portable(const int32_t* table, int F, const uint8_t* planes, std::size_t hw, int M,
+                        const TapWindow tw, int32_t* acc) {
+  const auto fz = static_cast<std::size_t>(F);
+  const auto stride = static_cast<std::ptrdiff_t>(tw.stride);
+  for (int oy = tw.oy0; oy < tw.oy1; ++oy) {
+    const std::ptrdiff_t row_px =
+        static_cast<std::ptrdiff_t>(oy * tw.stride + tw.dy) * tw.w + tw.dx;
+    const uint8_t* pl = planes + (row_px + tw.ox0 * stride);
+    int32_t* a = acc + (static_cast<std::size_t>(oy) * tw.ow + tw.ox0) * fz;
+    for (int ox = tw.ox0; ox < tw.ox1; ++ox, pl += stride, a += fz) {
+      for (int j = 0; j < M; ++j) {
+        const int32_t* row = table + pl[j * hw] * fz;
+#pragma omp simd
+        for (int o = 0; o < F; ++o) {
+          a[o] = static_cast<int32_t>(static_cast<uint32_t>(a[o]) +
+                                      (static_cast<uint32_t>(row[o]) << j));
+        }
+      }
+    }
+  }
+}
+
+/// [lo, hi): the output coordinates o whose input coordinate o*stride + off
+/// lands in [0, in_dim) — the in-bounds guard of the context loops, solved
+/// once per tap.
+void tap_range(int out_dim, int in_dim, int off, int stride, int& lo, int& hi) {
+  lo = 0;
+  while (lo < out_dim && lo * stride + off < 0) ++lo;
+  hi = out_dim;
+  while (hi > lo && (hi - 1) * stride + off >= in_dim) --hi;
+}
+
+/// The layer-table dataflow (file comment) for the whole batch.
+/// planes[((b*gcnt + g)*M + j)*hw + p] is bit-vector j of channel group g at
+/// pixel p of image b — the value unpack_bits writes to out[j] for that
+/// group; acc[(b*P + p)*F + o] is image b's accumulator for filter o at
+/// output position p.
+void layer_table_conv(const QView& in, std::size_t in_stride, int batch,
+                      const PackedIndices& indices, const pool::DotLut& lut,
+                      const nn::ConvSpec& spec, const Requant& rq, QView& out,
+                      std::size_t out_stride, ScratchArena& scratch) {
+  const int G = lut.group_size;
+  const int gcnt = spec.in_ch / G;
+  const int M = in.bits;
+  const int F = spec.out_ch;
+  const int h = in.dim(2), w = in.dim(3);
+  const int oh = spec.out_h(h), ow = spec.out_w(w);
+  const std::size_t hw = static_cast<std::size_t>(h) * w;
+  const std::size_t P = static_cast<std::size_t>(oh) * ow;
+  const std::size_t img_planes = static_cast<std::size_t>(gcnt) * M * hw;
+  const std::size_t img_acc = P * static_cast<std::size_t>(F);
+
+  int32_t* table = scratch.alloc<int32_t>(static_cast<std::size_t>(lut.num_bit_vectors()) * F);
+  uint8_t* planes = scratch.alloc<uint8_t>(static_cast<std::size_t>(batch) * img_planes);
+  int32_t* acc = scratch.alloc<int32_t>(static_cast<std::size_t>(batch) * img_acc);
+  std::fill(acc, acc + static_cast<std::size_t>(batch) * img_acc, 0);
+  const bool use_avx2 = avx2_supported();
+
+  // Element i of the group ORs its bit j into bit i of plane j; every loop
+  // streams contiguous pixels.
+  for (int b = 0; b < batch; ++b) {
+    for (int g = 0; g < gcnt; ++g) {
+      const int16_t* src =
+          in.data + static_cast<std::size_t>(b) * in_stride + static_cast<std::size_t>(g) * G * hw;
+      uint8_t* dst = planes + static_cast<std::size_t>(b) * img_planes +
+                     static_cast<std::size_t>(g) * M * hw;
+      std::fill(dst, dst + static_cast<std::size_t>(M) * hw, uint8_t{0});
+      for (int i = 0; i < G; ++i) {
+        const int16_t* x = src + static_cast<std::size_t>(i) * hw;
+        for (int j = 0; j < M; ++j) {
+          uint8_t* d = dst + static_cast<std::size_t>(j) * hw;
+#pragma omp simd
+          for (std::size_t p = 0; p < hw; ++p) {
+            d[p] = static_cast<uint8_t>(d[p] | (((static_cast<uint32_t>(x[p]) >> j) & 1u) << i));
+          }
+        }
+      }
+    }
+  }
+
+  for (int ky = 0; ky < spec.kh; ++ky) {
+    for (int kx = 0; kx < spec.kw; ++kx) {
+      TapWindow tw{0, 0, 0, 0, ky - spec.pad, kx - spec.pad, spec.stride, w, ow};
+      tap_range(oh, h, tw.dy, spec.stride, tw.oy0, tw.oy1);
+      tap_range(ow, w, tw.dx, spec.stride, tw.ox0, tw.ox1);
+      if (tw.oy0 == tw.oy1 || tw.ox0 == tw.ox1) continue;
+      for (int g = 0; g < gcnt; ++g) {
+        const uint8_t* idx = indices.idx.data() + indices.flat(ky, kx, g, 0);
+        const std::size_t plane_off = static_cast<std::size_t>(g) * M * hw;
+#if defined(BSWP_SIMD_X86)
+        if (use_avx2) {
+          build_table_avx2(lut, idx, F, table);
+          for (int b = 0; b < batch; ++b) {
+            sweep_tap_avx2(table, F, planes + b * img_planes + plane_off, hw, M, tw,
+                           acc + b * img_acc);
+          }
+          continue;
+        }
+#else
+        (void)use_avx2;
+#endif
+        build_table_portable(lut, idx, F, table);
+        for (int b = 0; b < batch; ++b) {
+          sweep_tap_portable(table, F, planes + b * img_planes + plane_off, hw, M, tw,
+                             acc + b * img_acc);
+        }
+      }
+    }
+  }
+
+  for (int b = 0; b < batch; ++b) {
+    const int32_t* acc_b = acc + static_cast<std::size_t>(b) * img_acc;
+    int16_t* dst = out.data + static_cast<std::size_t>(b) * out_stride;
+    for (int o = 0; o < F; ++o) {
+      for (std::size_t p = 0; p < P; ++p) {
+        dst[static_cast<std::size_t>(o) * P + p] = rq.apply(acc_b[p * F + o], o);
+      }
+    }
+  }
+}
+
+/// The pool-precompute dataflow, instantiated for a compile-time single
 /// image (kFixedBatch = 1, where the HWC staging path folds away) and for a
 /// run-time count (0), for the reason given at kernels::bitserial_conv2d's
 /// core.
 template <int kFixedBatch>
-void conv2d_core(const QView& in, std::size_t in_stride, int batch_arg,
-                 const PackedIndices& indices, const pool::DotLut& lut, const nn::ConvSpec& spec,
-                 const Requant& rq, BitSerialVariant variant, QView& out, std::size_t out_stride,
-                 ScratchArena& scratch, sim::CostCounter* counter) {
+void pool_precompute_conv(const QView& in, std::size_t in_stride, int batch_arg,
+                          const PackedIndices& indices, const pool::DotLut& lut,
+                          const nn::ConvSpec& spec, const Requant& rq, QView& out,
+                          std::size_t out_stride, ScratchArena& scratch) {
   const int batch = kFixedBatch > 0 ? kFixedBatch : batch_arg;
-  check(in.rank == 4 && in.shape[0] == 1, "simd_bitserial_conv2d: input must be 1xCxHxW");
-  check(!in.is_signed, "simd_bitserial_conv2d: activations must be unsigned-quantized");
-  check(spec.groups == 1, "simd_bitserial_conv2d: grouped convs are not poolable");
-  check(spec.in_ch % lut.group_size == 0,
-        "simd_bitserial_conv2d: in_ch must divide by group size");
-  check(indices.out_ch == spec.out_ch && indices.kh == spec.kh && indices.kw == spec.kw &&
-            indices.groups == spec.in_ch / lut.group_size,
-        "simd_bitserial_conv2d: index map does not match conv spec");
-  check(batch >= 1, "simd_bitserial_conv2d: batch must be >= 1");
   const int M = in.bits;
-  check(M >= 1 && M <= 16, "simd_bitserial_conv2d: activation bits out of range");
-
   const int G = lut.group_size;
   const int gcnt = spec.in_ch / G;
   const int h = in.dim(2), w = in.dim(3);
   const int oh = spec.out_h(h), ow = spec.out_w(w);
   const int F = spec.out_ch;
   const int S = lut.pool_size;
-
-  out.set_shape({1, F, oh, ow});
-  out.bits = rq.out.bits;
-  out.is_signed = rq.out.is_signed;
-  out.scale = rq.out.scale;
-  out.zero_point = rq.out.zero_point;
 
   // Image b owns acc + b*F; pool values are recomputed per image but the LUT
   // rows and index bytes stay cache-hot across the batch.
@@ -290,28 +492,58 @@ void conv2d_core(const QView& in, std::size_t in_stride, int batch_arg,
       }
     }
   }
-  // Tally the plan's scalar variant's exact event counts (the closed form is
-  // pinned to the scalar kernel), batch x, so MCU estimates ignore the host
-  // lane and the batch size.
-  if (counter != nullptr) {
-    const sim::CostCounter per_image = sim::bitserial_conv_cost(spec, h, w, M, lut, indices, variant);
-    for (int b = 0; b < batch; ++b) counter->merge(per_image);
-  }
 }
 
 }  // namespace
+
+bool simd_bitserial_uses_layer_table(const nn::ConvSpec& spec, int in_h, int in_w, int act_bits,
+                                     const pool::DotLut& lut) {
+  const int G = lut.group_size;
+  return lut.order == pool::LutOrder::kInputOriented && G >= 1 && G <= 8 &&
+         spec.out_ch < lut.pool_size &&
+         static_cast<int64_t>(spec.out_h(in_h)) * spec.out_w(in_w) * act_bits >=
+             (int64_t{1} << G);
+}
 
 void simd_bitserial_conv2d(const QView& in, std::size_t in_stride, int batch,
                            const PackedIndices& indices, const pool::DotLut& lut,
                            const nn::ConvSpec& spec, const Requant& rq, BitSerialVariant variant,
                            QView& out, std::size_t out_stride, ScratchArena& scratch,
                            sim::CostCounter* counter) {
-  if (batch == 1) {
-    conv2d_core<1>(in, in_stride, batch, indices, lut, spec, rq, variant, out, out_stride,
-                   scratch, counter);
+  check(in.rank == 4 && in.shape[0] == 1, "simd_bitserial_conv2d: input must be 1xCxHxW");
+  check(!in.is_signed, "simd_bitserial_conv2d: activations must be unsigned-quantized");
+  check(spec.groups == 1, "simd_bitserial_conv2d: grouped convs are not poolable");
+  check(spec.in_ch % lut.group_size == 0,
+        "simd_bitserial_conv2d: in_ch must divide by group size");
+  check(indices.out_ch == spec.out_ch && indices.kh == spec.kh && indices.kw == spec.kw &&
+            indices.groups == spec.in_ch / lut.group_size,
+        "simd_bitserial_conv2d: index map does not match conv spec");
+  check(batch >= 1, "simd_bitserial_conv2d: batch must be >= 1");
+  const int M = in.bits;
+  check(M >= 1 && M <= 16, "simd_bitserial_conv2d: activation bits out of range");
+  const int h = in.dim(2), w = in.dim(3);
+
+  out.set_shape({1, spec.out_ch, spec.out_h(h), spec.out_w(w)});
+  out.bits = rq.out.bits;
+  out.is_signed = rq.out.is_signed;
+  out.scale = rq.out.scale;
+  out.zero_point = rq.out.zero_point;
+
+  if (simd_bitserial_uses_layer_table(spec, h, w, M, lut)) {
+    layer_table_conv(in, in_stride, batch, indices, lut, spec, rq, out, out_stride, scratch);
+  } else if (batch == 1) {
+    pool_precompute_conv<1>(in, in_stride, batch, indices, lut, spec, rq, out, out_stride,
+                            scratch);
   } else {
-    conv2d_core<0>(in, in_stride, batch, indices, lut, spec, rq, variant, out, out_stride,
-                   scratch, counter);
+    pool_precompute_conv<0>(in, in_stride, batch, indices, lut, spec, rq, out, out_stride,
+                            scratch);
+  }
+  // Tally the plan's scalar variant's exact event counts (the closed form is
+  // pinned to the scalar kernel), batch x, so MCU estimates ignore the host
+  // lane and the batch size.
+  if (counter != nullptr) {
+    const sim::CostCounter per_image = sim::bitserial_conv_cost(spec, h, w, M, lut, indices, variant);
+    for (int b = 0; b < batch; ++b) counter->merge(per_image);
   }
 }
 
@@ -367,11 +599,20 @@ std::size_t simd_bitserial_linear_scratch_bytes(int out_ch, int pool_size, int b
 }
 
 std::size_t simd_bitserial_conv_scratch_bytes(const nn::ConvSpec& spec, int in_h, int in_w,
-                                              int pool_size, int group_size, int batch) {
-  const std::size_t staging = batch == 1 ? static_cast<std::size_t>(group_size)
-                                         : static_cast<std::size_t>(batch) *
-                                               static_cast<std::size_t>(in_h) * in_w * spec.in_ch;
-  return simd_bitserial_linear_scratch_bytes(spec.out_ch, pool_size, batch) +
+                                              int act_bits, const pool::DotLut& lut, int batch) {
+  const auto n = static_cast<std::size_t>(batch);
+  const std::size_t hw = static_cast<std::size_t>(in_h) * in_w;
+  if (simd_bitserial_uses_layer_table(spec, in_h, in_w, act_bits, lut)) {
+    const auto F = static_cast<std::size_t>(spec.out_ch);
+    const std::size_t P = static_cast<std::size_t>(spec.out_h(in_h)) * spec.out_w(in_w);
+    const auto gcnt = static_cast<std::size_t>(spec.in_ch / lut.group_size);
+    return ScratchArena::bytes_for<int32_t>(static_cast<std::size_t>(lut.num_bit_vectors()) * F) +
+           ScratchArena::bytes_for<uint8_t>(n * gcnt * static_cast<std::size_t>(act_bits) * hw) +
+           ScratchArena::bytes_for<int32_t>(n * P * F);
+  }
+  const std::size_t staging = batch == 1 ? static_cast<std::size_t>(lut.group_size)
+                                         : n * hw * static_cast<std::size_t>(spec.in_ch);
+  return simd_bitserial_linear_scratch_bytes(spec.out_ch, lut.pool_size, batch) +
          ScratchArena::bytes_for<int16_t>(staging);
 }
 

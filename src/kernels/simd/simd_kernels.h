@@ -11,14 +11,18 @@
 //                                  int16 multiply-accumulates over the shared
 //                                  column (AVX2 _mm256_madd_epi16, or a
 //                                  `#pragma omp simd` reduction).
-//   simd_bitserial_conv2d/_linear  widened bit-serial LUT accumulate: all S
-//                                  pool dot products are precomputed per
-//                                  channel-group context (vectorized over the
-//                                  contiguous s axis of an input-oriented
-//                                  LUT), then the filter loop gathers 8
-//                                  output channels per step
+//   simd_bitserial_conv2d/_linear  widened bit-serial LUT accumulate. In
+//                                  general all S pool dot products are
+//                                  precomputed per channel-group context
+//                                  (vectorized over the contiguous s axis of
+//                                  an input-oriented LUT), then the filter
+//                                  loop gathers 8 output channels per step
 //                                  (_mm256_i32gather_epi32 over the packed
-//                                  uint8 indices).
+//                                  uint8 indices). Convs that pass
+//                                  simd_bitserial_uses_layer_table instead
+//                                  build one 2^G x F filter-restricted table
+//                                  per (tap, group) and sweep every output
+//                                  position with M 8-lane row adds.
 //   simd_xnor_conv2d_counts        XNOR popcount over 64-bit words (pairs of
 //                                  packed 32-bit lanes fused per popcount).
 //
@@ -65,9 +69,16 @@ void simd_linear(const QView& in, std::size_t in_stride, int batch, const QTenso
 
 /// Widened bit-serial pooled convolution into `out`. `variant` only selects
 /// which scalar variant's cost counters to tally — every variant computes
-/// the same sums, and this core always precomputes the full pool. The input
-/// layout follows the batch size: one image gathers channel groups from CHW,
-/// a batch is first restaged HWC (see simd_bitserial_conv_scratch_bytes).
+/// the same sums. The dataflow follows simd_bitserial_uses_layer_table:
+///  * layer table (predicate true): every image's channel groups are
+///    unpacked to byte bit-planes once per call; each (tap, group) builds
+///    T[bv][o] = lut(bv, idx[tap, g, o]) (2^G x F int32) and sweeps all
+///    output positions of all images, adding M rows of T into per-position
+///    accumulators that are requantized at the end;
+///  * pool precompute (otherwise): per context all S pool values, then an
+///    8-filter index gather. One image gathers channel groups from CHW, a
+///    batch is first restaged HWC.
+/// simd_bitserial_conv_scratch_bytes sizes either path.
 void simd_bitserial_conv2d(const QView& in, std::size_t in_stride, int batch,
                            const PackedIndices& indices, const pool::DotLut& lut,
                            const nn::ConvSpec& spec, const Requant& rq, BitSerialVariant variant,
@@ -98,10 +109,23 @@ std::size_t simd_linear_scratch_bytes(int in_features, int batch);
 /// array plus the precomputed pool values (shared across images).
 std::size_t simd_bitserial_linear_scratch_bytes(int out_ch, int pool_size, int batch);
 
-/// Scratch bytes simd_bitserial_conv2d draws for an in_h x in_w input: the
-/// linear core's buffers plus the input staging — one channel-group row for
-/// a single image, the whole batch's input windows in HWC layout otherwise.
+/// The one predicate that routes simd_bitserial_conv2d to its layer-table
+/// path for an in_h x in_w input at `act_bits`: an input-oriented LUT
+/// (contiguous rows to gather from), G <= 8 (bit-vectors fit a byte plane),
+/// fewer filters than pool vectors (§4.3's no-precompute regime, where most
+/// precomputed pool values would go unused), and out_h*out_w*M >= 2^G
+/// (enough row adds per table to amortize its 2^G entries per filter).
+/// simd_bitserial_conv_scratch_bytes and sim::simd_bitserial_conv_cost
+/// branch on it too.
+bool simd_bitserial_uses_layer_table(const nn::ConvSpec& spec, int in_h, int in_w, int act_bits,
+                                     const pool::DotLut& lut);
+
+/// Scratch bytes simd_bitserial_conv2d draws for `batch` in_h x in_w inputs
+/// at `act_bits`. Layer-table path: the 2^G x F table, every image's bit
+/// planes and per-position accumulators. Pool-precompute path: the linear
+/// core's buffers plus the input staging — one channel-group row for a
+/// single image, the whole batch's input windows in HWC layout otherwise.
 std::size_t simd_bitserial_conv_scratch_bytes(const nn::ConvSpec& spec, int in_h, int in_w,
-                                              int pool_size, int group_size, int batch);
+                                              int act_bits, const pool::DotLut& lut, int batch);
 
 }  // namespace bswp::kernels::simd

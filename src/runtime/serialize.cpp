@@ -191,6 +191,15 @@ CompiledNetwork load_network(std::istream& is) {
   if (net.has_lut) {
     net.lut.group_size = read_pod<int32_t>(is);
     net.lut.pool_size = read_pod<int32_t>(is);
+    // Before anything shifts by the group size (DotLut::num_bit_vectors) or
+    // indexes by the pool size: the ranges pool::build_lut produces, and
+    // packed indices are uint8.
+    if (net.lut.group_size < 1 || net.lut.group_size > 16) {
+      throw std::runtime_error("bswp: LUT group size out of range");
+    }
+    if (net.lut.pool_size < 1 || net.lut.pool_size > 256) {
+      throw std::runtime_error("bswp: LUT pool size out of range");
+    }
     net.lut.bitwidth = read_pod<int32_t>(is);
     const auto order = read_pod<int32_t>(is);
     if (order < 0 || order > static_cast<int32_t>(pool::LutOrder::kWeightOriented)) {
@@ -240,7 +249,11 @@ CompiledNetwork load_network(std::istream& is) {
     for (uint8_t ix : p.indices.idx) {
       if (ix >= net.lut.pool_size) throw std::runtime_error("bswp: pool index out of range");
     }
-    p.variant = static_cast<kernels::BitSerialVariant>(read_pod<int32_t>(is));
+    const auto variant = read_pod<int32_t>(is);
+    if (variant < 0 || variant > static_cast<int32_t>(kernels::BitSerialVariant::kCachedMemoize)) {
+      throw std::runtime_error("bswp: unknown bit-serial variant");
+    }
+    p.variant = static_cast<kernels::BitSerialVariant>(variant);
     if (version >= 2) {
       const auto lane = read_pod<uint8_t>(is);
       if (lane > static_cast<uint8_t>(HostLane::kSimd)) {

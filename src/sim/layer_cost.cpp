@@ -2,6 +2,8 @@
 
 #include <array>
 
+#include "kernels/simd/simd_kernels.h"
+
 namespace bswp::sim {
 
 namespace {
@@ -298,6 +300,44 @@ void add_simd_bitserial_context(CostCounter& c, uint64_t contexts, int out_ch, i
   c.add(Event::kBranch, contexts * gsteps);
 }
 
+/// The layer-table path of simd_bitserial_conv2d for one image: byte
+/// bit-planes unpacked 8 pixels per vector step (G loads, shift/mask/or per
+/// element, one store per plane), one 2^G x F table per (tap, group) with an
+/// in-bounds window (an 8-filter gather + store per (bit-vector, step)), then
+/// per valid context M plane-byte reads and M row adds of F lanes into the
+/// position's accumulator.
+void add_layer_table(CostCounter& c, const nn::ConvSpec& spec, int in_h, int in_w,
+                     uint64_t contexts, int act_bits, const pool::DotLut& lut) {
+  const auto G = static_cast<uint64_t>(lut.group_size);
+  const auto gcnt = static_cast<uint64_t>(spec.in_ch / lut.group_size);
+  const auto M = static_cast<uint64_t>(act_bits);
+  const uint64_t fsteps = (static_cast<uint64_t>(spec.out_ch) + 7) / 8;
+  const int oh = spec.out_h(in_h), ow = spec.out_w(in_w);
+
+  const uint64_t psteps = (static_cast<uint64_t>(in_h) * in_w + 7) / 8 * gcnt * M;
+  c.add(Event::kSramRead, psteps * G);
+  c.add(Event::kAlu, psteps * 3 * G);
+  c.add(Event::kSramWrite, psteps);
+  c.add(Event::kBranch, psteps);
+
+  uint64_t tables = 0;
+  for (int ky = 0; ky < spec.kh; ++ky) {
+    const bool rows = valid_positions_1d(oh, in_h, ky, spec.stride, spec.pad) > 0;
+    for (int kx = 0; kx < spec.kw; ++kx) {
+      if (rows && valid_positions_1d(ow, in_w, kx, spec.stride, spec.pad) > 0) tables += gcnt;
+    }
+  }
+  const uint64_t tsteps = tables * static_cast<uint64_t>(lut.num_bit_vectors()) * fsteps;
+  c.add(Event::kSramRead, tsteps * 9);
+  c.add(Event::kSramWrite, tsteps);
+  c.add(Event::kBranch, tsteps);
+
+  c.add(Event::kSramRead, contexts * (M + M * fsteps + fsteps));
+  c.add(Event::kAlu, contexts * 2 * M * fsteps);
+  c.add(Event::kSramWrite, contexts * fsteps);
+  c.add(Event::kBranch, contexts * M);
+}
+
 }  // namespace
 
 CostCounter simd_bitserial_conv_cost(const nn::ConvSpec& spec, int in_h, int in_w, int act_bits,
@@ -321,6 +361,10 @@ CostCounter simd_bitserial_conv_cost(const nn::ConvSpec& spec, int in_h, int in_
   c.add(Event::kSramWrite, 2 * P * F);  // accumulator init + output store
   c.add(Event::kSramRead, P * F);
   c.add(Event::kRequant, P * F);
+  if (kernels::simd::simd_bitserial_uses_layer_table(spec, in_h, in_w, act_bits, lut)) {
+    add_layer_table(c, spec, in_h, in_w, contexts, act_bits, lut);
+    return c;
+  }
   add_simd_bitserial_context(c, contexts, spec.out_ch, act_bits, lut);
   c.add(Event::kBranch, contexts);
   return c;

@@ -51,9 +51,13 @@ CostCounter simd_conv_cost(const nn::ConvSpec& spec, int in_h, int in_w);
 /// Modeled event counts of kernels::simd::simd_linear.
 CostCounter simd_linear_cost(int in_features, int out_features);
 
-/// Modeled event counts of kernels::simd::simd_bitserial_conv2d. A
-/// weight-oriented LUT precomputes scalar (strided rows), which the model
-/// reflects — the SIMD lane rarely wins there.
+/// Modeled event counts of kernels::simd::simd_bitserial_conv2d. It
+/// branches on kernels::simd::simd_bitserial_uses_layer_table exactly as the
+/// kernel does: the layer-table path is priced as its plane unpack, one
+/// 2^G x F table per (tap, group) and M row adds per context; otherwise the
+/// pool precompute + gather per context. A weight-oriented LUT precomputes
+/// scalar (strided rows), which the model reflects — the SIMD lane rarely
+/// wins there.
 CostCounter simd_bitserial_conv_cost(const nn::ConvSpec& spec, int in_h, int in_w, int act_bits,
                                      const pool::DotLut& lut);
 

@@ -6,9 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "core/rng.h"
 #include "kernels/bitserial_conv.h"
 #include "kernels/baseline_conv.h"
+#include "kernels/simd/simd_kernels.h"
 
 namespace bswp::sim {
 namespace {
@@ -138,6 +141,58 @@ TEST(LayerCost, BaselineLinearMatchesKernelCounters) {
   CostCounter measured;
   kernels::baseline_linear(in, w, rq, &measured);
   expect_same_counts(measured, baseline_linear_cost(fin, fout), "baseline linear");
+}
+
+TEST(LayerCost, SimdBitSerialConvPriceBranchesOnTheKernelsLayerTablePredicate) {
+  // The SIMD conv kernel runs its layer-table path exactly when
+  // kernels::simd::simd_bitserial_uses_layer_table holds. That path has no
+  // per-context pool precompute, so its modeled price cannot depend on the
+  // pool size, while the pool-precompute path's (8 lanes or scalar per
+  // pool vector) must. With every layer below both pool sizes the
+  // predicate agrees for both, and the price must be pool-size invariant
+  // exactly when it holds — across the 2^G row-add boundary, strides, 1x1
+  // and 3x3 taps, input sizes and both LUT orders.
+  Rng rng(7);
+  int table = 0, precompute = 0;
+  for (pool::LutOrder order : {pool::LutOrder::kInputOriented, pool::LutOrder::kWeightOriented}) {
+    std::vector<pool::DotLut> luts;
+    for (int pool_size : {64, 128}) {
+      pool::WeightPool wp;
+      wp.group_size = 8;
+      wp.vectors = Tensor({pool_size, 8});
+      rng.fill_normal(wp.vectors, 0.3f);
+      pool::LutOptions lo;
+      lo.order = order;
+      luts.push_back(pool::build_lut(wp, lo));
+    }
+    for (int side : {4, 8, 16}) {
+      for (const auto& [k, stride, pad] : {std::tuple{1, 1, 0}, {1, 2, 0}, {3, 1, 1}, {3, 2, 1}}) {
+        for (int out_ch : {8, 13, 40}) {
+          const nn::ConvSpec spec{8, out_ch, k, k, stride, pad, 1};
+          for (int bits = 1; bits <= 8; ++bits) {
+            const bool uses =
+                kernels::simd::simd_bitserial_uses_layer_table(spec, side, side, bits, luts[0]);
+            ASSERT_EQ(uses,
+                      kernels::simd::simd_bitserial_uses_layer_table(spec, side, side, bits,
+                                                                     luts[1]));
+            const CostCounter a = simd_bitserial_conv_cost(spec, side, side, bits, luts[0]);
+            const CostCounter b = simd_bitserial_conv_cost(spec, side, side, bits, luts[1]);
+            bool pool_invariant = true;
+            for (int e = 0; e < kNumEvents; ++e) {
+              pool_invariant &= a.count(static_cast<Event>(e)) == b.count(static_cast<Event>(e));
+            }
+            EXPECT_EQ(uses, pool_invariant)
+                << "side " << side << " k" << k << " s" << stride << " out_ch " << out_ch
+                << " bits " << bits << " weight-oriented "
+                << (order == pool::LutOrder::kWeightOriented);
+            ++(uses ? table : precompute);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(table, 0);
+  EXPECT_GT(precompute, 0);
 }
 
 }  // namespace

@@ -141,8 +141,9 @@ TEST(Serialize, RejectsTruncation) {
 
 TEST(Serialize, RejectsStructuralCorruptions) {
   // Unchecked, each mutation loads cleanly and then crashes the Executor
-  // (input index out of range, zero pooling window) or serves silently wrong
-  // logits (pool index past the pool, unknown LUT order).
+  // (input index out of range, zero pooling window), serves silently wrong
+  // logits (pool index past the pool, unknown LUT order), or shifts or
+  // dispatches on an out-of-range LUT geometry or variant.
   Env& e = env();
   const auto first_of = [&](PlanKind kind) -> std::size_t {
     for (std::size_t i = 0; i < e.net.plans.size(); ++i) {
@@ -167,6 +168,20 @@ TEST(Serialize, RejectsStructuralCorruptions) {
          for (uint8_t& ix : n.plans[bitserial].indices.idx) ix = 255;
        }},
       {"lut.order = 7", [](CompiledNetwork& n) { n.lut.order = static_cast<pool::LutOrder>(7); }},
+      // A shift past int's width in DotLut::num_bit_vectors() (UB, caught by
+      // the UBSan job) unless rejected before the LUT size check.
+      {"lut.group_size = 31", [](CompiledNetwork& n) { n.lut.group_size = 31; }},
+      // A consistent LUT of 257 pool vectors: uint8 indices cannot address
+      // it, so no compiled network has one.
+      {"lut.pool_size = 257",
+       [](CompiledNetwork& n) {
+         n.lut.pool_size = 257;
+         n.lut.entries.assign(static_cast<std::size_t>(n.lut.num_bit_vectors()) * 257, 0);
+       }},
+      {"bit-serial variant = 9",
+       [&](CompiledNetwork& n) {
+         n.plans[bitserial].variant = static_cast<kernels::BitSerialVariant>(9);
+       }},
   };
   for (const auto& [what, mutate] : mutations) {
     CompiledNetwork bad = e.net;

@@ -7,6 +7,7 @@
 // family is compiled out (BSWP_SIMD=OFF).
 #include <algorithm>
 #include <functional>
+#include <span>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -22,6 +23,7 @@
 #include "runtime/executor.h"
 #include "runtime/kernel_backend.h"
 #include "runtime/serialize.h"
+#include "sim/layer_cost.h"
 
 namespace bswp {
 namespace {
@@ -72,11 +74,12 @@ struct BatchCore {
 void expect_batches_match_scalar(const QTensor& proto, std::size_t out_elems,
                                  const std::function<void(QTensor&)>& fill,
                                  const BatchCore& scalar, const BatchCore& simd_core,
-                                 const std::string& what) {
+                                 const std::string& what,
+                                 std::span<const int> batches = kBatchSizes) {
   constexpr int16_t kSentinel = 0x7777;
   const std::size_t in_elems = proto.size();
   const std::size_t in_stride = in_elems + 3, out_stride = out_elems + 5;
-  for (int batch : kBatchSizes) {
+  for (int batch : batches) {
     const std::string at = what + " batch " + std::to_string(batch);
     std::vector<QTensor> images(static_cast<std::size_t>(batch), proto);
     std::vector<int16_t> in_buf(static_cast<std::size_t>(batch) * in_stride, 0);
@@ -251,7 +254,7 @@ TEST(SimdKernels, BitSerialConvIdenticalForEveryVariantOrderBitwidthAndBatch) {
                                           scratch, c);
             },
             [&](int n) {
-              return simd::simd_bitserial_conv_scratch_bytes(f.spec, 7, 6, f.lut.pool_size, 8, n);
+              return simd::simd_bitserial_conv_scratch_bytes(f.spec, 7, 6, act_bits, f.lut, n);
             }};
         expect_batches_match_scalar(
             f.input, out_elems,
@@ -264,6 +267,99 @@ TEST(SimdKernels, BitSerialConvIdenticalForEveryVariantOrderBitwidthAndBatch) {
       }
     }
   }
+}
+
+TEST(SimdKernels, LayerTablePathIdenticalAtEveryBitwidth) {
+  // The stage-1 regime of pooled ResNet-s: 16x16 input, S = 64, G = 8 and
+  // fewer filters than pool vectors. 13 filters leave an F tail past the
+  // 8-lane row add. 3x3 s1 always takes the layer table; 3x3 s2 and 1x1 s2
+  // (8x8 outputs) cross the predicate's out_h*out_w*M >= 2^G line between
+  // M = 3 and M = 4, so both dataflows run against the same reference.
+  struct Geometry {
+    int kh, stride, pad;
+  };
+  const Geometry geometries[] = {{3, 1, 1}, {3, 2, 1}, {1, 2, 0}};
+  constexpr int kPool = 64, kSide = 16;
+  constexpr int kLayerTableBatches[] = {1, 7, 8, 9};
+  Rng rng(51);
+  pool::WeightPool wp;
+  wp.group_size = 8;
+  wp.vectors = Tensor({kPool, 8});
+  rng.fill_normal(wp.vectors, 0.3f);
+  const pool::DotLut lut = pool::build_lut(wp, pool::LutOptions{});
+  int table_cases = 0, precompute_cases = 0;
+  for (int filters : {8, 13}) {
+    for (const Geometry& geo : geometries) {
+      const nn::ConvSpec spec{8, filters, geo.kh, geo.kh, geo.stride, geo.pad, 1};
+      pool::PooledLayer pl;
+      pl.out_ch = filters;
+      pl.channel_groups = 1;
+      pl.kh = pl.kw = geo.kh;
+      pl.indices.resize(static_cast<std::size_t>(filters) * geo.kh * geo.kh);
+      for (auto& idx : pl.indices) idx = static_cast<uint16_t>(rng.uniform_int(kPool));
+      const kernels::PackedIndices indices = kernels::PackedIndices::pack(pl);
+      const kernels::Requant rq =
+          kernels::Requant::uniform(filters, 1e-4f, {}, 0.01f, 8, false, true);
+      const std::size_t out_elems =
+          static_cast<std::size_t>(filters) * spec.out_h(kSide) * spec.out_w(kSide);
+      for (int act_bits = 1; act_bits <= 8; ++act_bits) {
+        const BitSerialVariant v = kAllVariants[act_bits % 5];
+        const bool table = simd::simd_bitserial_uses_layer_table(spec, kSide, kSide, act_bits, lut);
+        ++(table ? table_cases : precompute_cases);
+        QTensor proto({1, 8, kSide, kSide}, act_bits, false);
+        proto.scale = 0.05f;
+        const sim::CostCounter per_image =
+            sim::bitserial_conv_cost(spec, kSide, kSide, act_bits, lut, indices, v);
+        const BatchCore scalar{
+            [&](const QView& in, std::size_t is, int n, QView& out, std::size_t os,
+                ScratchArena& scratch, sim::CostCounter* c) {
+              kernels::bitserial_conv2d(in, is, n, indices, lut, spec, rq, v, out, os, scratch,
+                                        c);
+            },
+            [&](int n) { return kernels::bitserial_host_scratch_bytes(filters, kPool, 8, n); }};
+        const BatchCore simd_core{
+            [&](const QView& in, std::size_t is, int n, QView& out, std::size_t os,
+                ScratchArena& scratch, sim::CostCounter* c) {
+              sim::CostCounter mine;
+              simd::simd_bitserial_conv2d(in, is, n, indices, lut, spec, rq, v, out, os,
+                                          scratch, &mine);
+              // The MCU tally is the plan variant's closed form, whatever the
+              // host dataflow.
+              sim::CostCounter want;
+              for (int b = 0; b < n; ++b) want.merge(per_image);
+              expect_counters_equal(want, mine, "closed form");
+              c->merge(mine);
+            },
+            [&](int n) {
+              return simd::simd_bitserial_conv_scratch_bytes(spec, kSide, kSide, act_bits, lut,
+                                                             n);
+            }};
+        expect_batches_match_scalar(
+            proto, out_elems,
+            [&](QTensor& x) {
+              for (auto& e : x.data) e = static_cast<int16_t>(rng.uniform_int(1u << act_bits));
+            },
+            scalar, simd_core,
+            "layer table " + std::to_string(filters) + " filters k" + std::to_string(geo.kh) +
+                " s" + std::to_string(geo.stride) + " bits " + std::to_string(act_bits) +
+                (table ? " [table]" : " [precompute]"),
+            kLayerTableBatches);
+      }
+    }
+  }
+  EXPECT_EQ(table_cases, 2 * (8 + 5 + 5));
+  EXPECT_EQ(precompute_cases, 2 * (3 + 3));
+  // The predicate's own boundaries: 2^G output-row adds, and out_ch < S.
+  const nn::ConvSpec s2{8, 8, 3, 3, 2, 1, 1};
+  EXPECT_FALSE(simd::simd_bitserial_uses_layer_table(s2, kSide, kSide, 3, lut));
+  EXPECT_TRUE(simd::simd_bitserial_uses_layer_table(s2, kSide, kSide, 4, lut));
+  EXPECT_TRUE(simd::simd_bitserial_uses_layer_table({8, kPool - 1, 3, 3, 1, 1, 1}, kSide, kSide,
+                                                    4, lut));
+  EXPECT_FALSE(
+      simd::simd_bitserial_uses_layer_table({8, kPool, 3, 3, 1, 1, 1}, kSide, kSide, 4, lut));
+  pool::DotLut weight_oriented = lut;
+  weight_oriented.order = pool::LutOrder::kWeightOriented;
+  EXPECT_FALSE(simd::simd_bitserial_uses_layer_table(s2, kSide, kSide, 8, weight_oriented));
 }
 
 TEST(SimdKernels, BitSerialLinearIdenticalAcrossBatches) {
@@ -506,6 +602,62 @@ TEST(SimdKernels, CostModelLaneChoicesAreArgminAndReported) {
     // At least one layer should price onto the SIMD lane on any host where
     // the family is compiled in (the int8 convs vectorize 16-wide).
     EXPECT_TRUE(any_simd_line);
+  }
+}
+
+TEST(SimdKernels, CostModelMovesStageOneBitSerialConvsToTheLayerTable) {
+  // Pooled ResNet-s at the deployment geometry (width 0.5, 16x16, S = 64,
+  // G = 8): the stage-1 convs (8 -> 8 filters, below the precompute line)
+  // qualify for the layer table, and the lane argmin must price that path
+  // onto the SIMD lane at both ends of the bitwidth range.
+  models::ModelOptions mo;
+  mo.image_size = 16;
+  mo.width = 0.5f;
+  mo.num_classes = 10;
+  mo.in_channels = 3;
+  data::SyntheticCifarOptions o;
+  o.train_size = 48;
+  o.image_size = 16;
+  data::SyntheticCifar cal(o, true);
+  nn::Graph g = models::build_resnet_s(mo);
+  Rng rng(7);
+  g.init_weights(rng);
+  g.forward(cal.batch(0, 16).images, true);
+  pool::CodecOptions co;
+  co.pool_size = 64;
+  co.group_size = 8;
+  co.kmeans_iters = 5;
+  co.max_cluster_vectors = 3000;
+  quant::CalibrateOptions qo;
+  qo.num_samples = 24;
+  Deployment dep = Deployment::from(g).with_pool(co).calibrate(cal, qo);
+  for (int bits : {4, 8}) {
+    Session s = dep.act_bits(bits).host_lanes(runtime::HostLaneSelect::kCostModel).compile();
+    const runtime::CompiledNetwork& net = s.network();
+    int stage_one = 0;
+    for (const runtime::LayerPlan& p : net.plans) {
+      if (p.kind != runtime::PlanKind::kConvBitSerial || p.spec.in_ch != 8 ||
+          p.spec.out_ch != 8 || p.out_chw[1] != 16) {
+        continue;
+      }
+      ++stage_one;
+      const runtime::LayerPlan& src = net.plans[static_cast<std::size_t>(p.inputs[0])];
+      EXPECT_TRUE(
+          simd::simd_bitserial_uses_layer_table(p.spec, 16, 16, src.out.bits, net.lut))
+          << p.name << " bits " << bits;
+      const runtime::HostLane want =
+          simd::available() ? runtime::HostLane::kSimd : runtime::HostLane::kScalar;
+      EXPECT_EQ(p.lane, want) << p.name << " bits " << bits;
+      bool reported = false;
+      for (const runtime::LaneChoice& l : dep.compile_report().lane_choices) {
+        if (l.layer == p.name) {
+          reported = true;
+          EXPECT_EQ(l.lane, want) << p.name;
+        }
+      }
+      EXPECT_TRUE(reported) << p.name;
+    }
+    EXPECT_EQ(stage_one, 4) << "bits " << bits;
   }
 }
 

@@ -19,7 +19,7 @@
 //     cached or computed — is bit-identical to Session::run.
 //
 //  3. Shard loss mid-run: open-loop submissions against 4 shards
-//     (kFailover) while one shard is stopped partway through. Every
+//     (failover) while one shard is stopped partway through. Every
 //     accepted future must resolve with logits — the "no accepted request
 //     lost" guarantee — and the failover counter shows the rescued hops.
 //
@@ -186,7 +186,7 @@ int run_bench() {
   }
 
   // --- Section 3: shard loss mid-run ---------------------------------------
-  print_header("bench_frontdoor: shard loss mid-run (kFailover)");
+  print_header("bench_frontdoor: shard loss mid-run (failover)");
   {
     bswp::Cluster c(cluster_options(4));
     c.add("tiny", session);

@@ -3,19 +3,24 @@
 # still exist in the tree, so the architecture/serving manuals cannot
 # silently rot as the code moves.
 #
-# Two kinds of backtick-quoted references are checked:
+# Three kinds of backtick-quoted references are checked:
 #   1. path-like   — `src/runtime/executor.h`, `docs/serving.md`,
 #                    `scripts/bench_smoke.sh` ... must exist as files/dirs;
 #   2. symbol-like — namespace-qualified identifiers such as
 #                    `runtime::InferenceServer` or `pool::CodecOptions`, and
 #                    class-qualified ones such as `ServerOptions::workers`:
 #                    every component must appear as a whole word somewhere
-#                    under src/ tests/ bench/ examples/ scripts/.
+#                    under src/ tests/ bench/ examples/ scripts/ perfbench/;
+#   3. snake_case  — bare lowercase identifiers with at least one underscore
+#                    such as `max_batch` or `affinity_hits` (option and stats
+#                    fields named without their struct): each must appear as
+#                    a whole word under the same directories.
 #
 # Usage: scripts/check_docs.sh   (from anywhere; resolves the repo root)
 set -uo pipefail
 cd "$(dirname "$0")/.."
 status=0
+code_dirs=(src/ tests/ bench/ examples/ scripts/ perfbench/)
 
 for doc in docs/*.md README.md; do
   [ -f "$doc" ] || continue
@@ -32,7 +37,7 @@ for doc in docs/*.md README.md; do
   # Symbol references: namespace-qualified, or qualified by a class name.
   while IFS= read -r sym; do
     for part in ${sym//::/ }; do
-      if ! grep -rqw -- "$part" src/ tests/ bench/ examples/ scripts/ 2>/dev/null; then
+      if ! grep -rqw -- "$part" "${code_dirs[@]}" 2>/dev/null; then
         echo "MISSING SYMBOL $doc -> $sym"
         status=1
         break
@@ -40,6 +45,14 @@ for doc in docs/*.md README.md; do
     done
   done < <(grep -oE '`((bswp|runtime|pool|quant|kernels|nn|sim|models|data|lowering)|[A-Z][A-Za-z0-9_]*)(::[A-Za-z0-9_]+)+`' "$doc" \
              | tr -d '`' | sort -u)
+
+  # Bare snake_case identifiers.
+  while IFS= read -r ident; do
+    if ! grep -rqw -- "$ident" "${code_dirs[@]}" 2>/dev/null; then
+      echo "MISSING IDENT  $doc -> $ident"
+      status=1
+    fi
+  done < <(grep -oE '`[a-z][a-z0-9]*(_[a-z0-9]+)+`' "$doc" | tr -d '`' | sort -u)
 done
 
 if [ "$status" -eq 0 ]; then

@@ -10,38 +10,39 @@ namespace bswp::runtime {
 
 namespace {
 
-using WallClock = std::chrono::steady_clock;
+/// Virtual nodes per shard on the consistent-hash ring: enough for an even
+/// key split over the handful of shards one process hosts.
+constexpr int kVnodesPerShard = 64;
 
-double elapsed_us(WallClock::time_point from, WallClock::time_point to) {
+/// Front-door end-to-end latency samples retained per shard and for cache
+/// hits. Cluster percentiles merge these windows (LatencyRecorder::merge),
+/// never average per-shard percentiles.
+constexpr std::size_t kLatencyWindow = 1 << 16;
+
+double elapsed_us(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double, std::micro>(to - from).count();
 }
 
 }  // namespace
 
 // One accepted request from submit() until its front-door future resolves.
-// Lives in exactly one shard's pending deque at a time; a kFailover retry
+// Lives in exactly one shard's pending deque at a time; a failover retry
 // moves it (with a fresh shard future) to the next live shard's deque.
 struct FrontDoor::Pending {
   RequestKey key;
   std::string model_id;
-  // Retained only under kFailover, where a mid-flight retry needs the
-  // original input; kFailFast moves the caller's tensor straight into the
-  // shard and keeps nothing.
-  Tensor image;
+  Tensor image;  // retained for a mid-flight retry on another shard
   RequestClass cls = RequestClass::kNormal;
   std::promise<QTensor> promise;
   std::future<QTensor> shard_future;
-  WallClock::time_point arrival;
-  WallClock::time_point deadline;
-  bool has_deadline = false;
+  Clock::time_point arrival;
   int owner = 0;            // ring owner ignoring health (takeover metric)
   std::vector<int> tried;   // shards that already failed this request
 };
 
 struct FrontDoor::ShardState {
-  ShardState(const ServerOptions& opts, std::size_t latency_window)
-      : server(std::make_unique<InferenceServer>(opts)),
-        latency(latency_window) {}
+  explicit ShardState(const ServerOptions& opts)
+      : server(std::make_unique<InferenceServer>(opts)), latency(kLatencyWindow) {}
 
   std::unique_ptr<InferenceServer> server;
   std::thread forwarder;
@@ -52,7 +53,7 @@ struct FrontDoor::ShardState {
   ShardHealth health = ShardHealth::kHealthy;
   int fail_streak = 0;          // consecutive shard faults while healthy
   int ok_streak = 0;            // consecutive successes while probing
-  WallClock::time_point tripped_at{};
+  Clock::time_point tripped_at{};
   std::uint64_t routed = 0;
   std::uint64_t takeovers = 0;
   std::uint64_t failures = 0;
@@ -65,24 +66,20 @@ struct FrontDoor::ShardState {
 
 FrontDoor::FrontDoor(const FrontDoorOptions& options)
     : options_(options),
-      ring_(options.shards, options.vnodes_per_shard),
+      clock_(options.server.clock != nullptr ? options.server.clock : &steady_clock_ref()),
+      ring_(options.shards, kVnodesPerShard),
       cache_(options.cache_capacity),
-      cache_latency_(options.latency_window) {
+      cache_latency_(kLatencyWindow) {
   check(options.shards >= 1, "FrontDoor: shards must be >= 1");
-  check(options.vnodes_per_shard >= 1,
-        "FrontDoor: vnodes_per_shard must be >= 1");
   check(options.breaker.unhealthy_after >= 1,
         "FrontDoor: breaker.unhealthy_after must be >= 1");
   check(options.breaker.healthy_after >= 1,
         "FrontDoor: breaker.healthy_after must be >= 1");
   check(options.breaker.cooldown.count() >= 0,
         "FrontDoor: breaker.cooldown must be >= 0");
-  check(options.request_timeout.count() >= 0,
-        "FrontDoor: request_timeout must be >= 0");
   shards_.reserve(static_cast<std::size_t>(options.shards));
   for (int s = 0; s < options.shards; ++s) {
-    shards_.push_back(
-        std::make_unique<ShardState>(options.server, options.latency_window));
+    shards_.push_back(std::make_unique<ShardState>(options.server));
   }
   for (int s = 0; s < options.shards; ++s) {
     shards_[static_cast<std::size_t>(s)]->forwarder =
@@ -105,7 +102,7 @@ void FrontDoor::register_model(const std::string& model_id,
 
 std::future<QTensor> FrontDoor::submit(const std::string& model_id,
                                        Tensor image, RequestClass cls) {
-  const auto arrival = WallClock::now();
+  const Clock::time_point arrival = clock_->now();
   std::promise<QTensor> promise;
   std::future<QTensor> future = promise.get_future();
 
@@ -128,7 +125,7 @@ std::future<QTensor> FrontDoor::submit(const std::string& model_id,
     lock.unlock();
     {
       std::lock_guard<std::mutex> slock(stats_mu_);
-      cache_latency_.record(elapsed_us(arrival, WallClock::now()));
+      cache_latency_.record(elapsed_us(arrival, clock_->now()));
     }
     promise.set_value(std::move(*hit));
     return future;
@@ -140,10 +137,7 @@ std::future<QTensor> FrontDoor::submit(const std::string& model_id,
     ++failed_;
     lock.unlock();
     promise.set_exception(std::make_exception_ptr(
-        ServerRejected(ServerRejected::Reason::kUnhealthy,
-                       options_.health == HealthPolicy::kFailFast
-                           ? "FrontDoor: owning shard is unhealthy (kFailFast)"
-                           : "FrontDoor: no routable shard")));
+        ServerRejected(ServerRejected::Reason::kUnhealthy, "FrontDoor: no routable shard")));
     return future;
   }
   ShardState& st = *shards_[static_cast<std::size_t>(target)];
@@ -153,12 +147,11 @@ std::future<QTensor> FrontDoor::submit(const std::string& model_id,
   lock.unlock();
 
   // Shard admission outside mu_: a QueuePolicy::kBlock submit may wait for
-  // queue space, and no router state should be pinned meanwhile.
-  const bool keep_input = options_.health == HealthPolicy::kFailover;
+  // queue space, and no router state should be pinned meanwhile. The
+  // shard gets a copy; the original stays for a mid-flight retry.
   std::future<QTensor> shard_future;
   try {
-    shard_future = st.server->submit(
-        model_id, keep_input ? Tensor(image) : std::move(image), cls);
+    shard_future = st.server->submit(model_id, Tensor(image), cls);
   } catch (...) {
     // Synchronous admission throw (unknown model id): a client error — it
     // would fail identically on every shard, so no breaker, no failover.
@@ -172,13 +165,11 @@ std::future<QTensor> FrontDoor::submit(const std::string& model_id,
   Pending p;
   p.key = key;
   p.model_id = model_id;
-  if (keep_input) p.image = std::move(image);
+  p.image = std::move(image);
   p.cls = cls;
   p.promise = std::move(promise);
   p.shard_future = std::move(shard_future);
   p.arrival = arrival;
-  p.has_deadline = options_.request_timeout.count() > 0;
-  if (p.has_deadline) p.deadline = arrival + options_.request_timeout;
   p.owner = owner;
 
   lock.lock();
@@ -205,25 +196,18 @@ void FrontDoor::forwarder_main(int sid) {
     QTensor result;
     bool ok = false;
     bool shard_stopped = false;
-    std::exception_ptr shard_fault;  // rejection/timeout: breaker + failover
+    std::exception_ptr shard_fault;  // rejection: breaker + failover
     std::exception_ptr client_error; // would fail on any shard: propagate
-    if (p.has_deadline && p.shard_future.wait_until(p.deadline) ==
-                              std::future_status::timeout) {
-      shard_fault = std::make_exception_ptr(std::runtime_error(
-          "FrontDoor: request deadline exceeded on shard " +
-          std::to_string(sid)));
-    } else {
-      try {
-        result = p.shard_future.get();
-        ok = true;
-      } catch (const ServerRejected& e) {
-        shard_stopped = e.reason() == ServerRejected::Reason::kShutdown;
-        shard_fault = std::current_exception();
-      } catch (...) {
-        client_error = std::current_exception();
-      }
+    try {
+      result = p.shard_future.get();
+      ok = true;
+    } catch (const ServerRejected& e) {
+      shard_stopped = e.reason() == ServerRejected::Reason::kShutdown;
+      shard_fault = std::current_exception();
+    } catch (...) {
+      client_error = std::current_exception();
     }
-    const auto now = WallClock::now();
+    const Clock::time_point now = clock_->now();
 
     if (ok) {
       cache_.put(p.key, result);
@@ -251,16 +235,13 @@ void FrontDoor::forwarder_main(int sid) {
       continue;
     }
 
-    // Shard fault: feed the breaker, then retry elsewhere (kFailover) or
-    // give the caller the shard's error (kFailFast).
+    // Shard fault: feed the breaker, then retry on the next live shard, or
+    // give the caller the shard's error when none is left.
     lock.lock();
     ++st.failures;
     breaker_failure_locked(st, shard_stopped, now);
-    int next = -1;
-    if (options_.health == HealthPolicy::kFailover) {
-      p.tried.push_back(sid);
-      next = route_locked(p.key.lo, now, p.tried);
-    }
+    p.tried.push_back(sid);
+    const int next = route_locked(p.key.lo, now, p.tried);
     if (next < 0) {
       ++failed_;
       lock.unlock();
@@ -298,7 +279,7 @@ void FrontDoor::forwarder_main(int sid) {
   }
 }
 
-int FrontDoor::route_locked(std::uint64_t key, WallClock::time_point now,
+int FrontDoor::route_locked(std::uint64_t key, Clock::time_point now,
                             const std::vector<int>& tried) {
   // Lazy cooldown refresh: an open breaker whose cooldown has elapsed
   // becomes probing (routable) the next time anyone routes.
@@ -310,19 +291,8 @@ int FrontDoor::route_locked(std::uint64_t key, WallClock::time_point now,
       ++ring_rebalances_;
     }
   }
-  const auto is_tried = [&](int s) {
-    return std::find(tried.begin(), tried.end(), s) != tried.end();
-  };
-  const std::vector<int> cands = ring_.candidates(key);
-  if (options_.health == HealthPolicy::kFailFast) {
-    // Only the ring owner is eligible: no blast radius onto its neighbours.
-    if (!cands.empty() && routable_locked(cands[0]) && !is_tried(cands[0])) {
-      return cands[0];
-    }
-    return -1;
-  }
-  for (int c : cands) {
-    if (routable_locked(c) && !is_tried(c)) return c;
+  for (int c : ring_.candidates(key)) {
+    if (routable_locked(c) && std::find(tried.begin(), tried.end(), c) == tried.end()) return c;
   }
   return -1;
 }
@@ -354,7 +324,7 @@ void FrontDoor::breaker_success_locked(ShardState& st) {
 }
 
 void FrontDoor::breaker_failure_locked(ShardState& st, bool shard_stopped,
-                                       WallClock::time_point now) {
+                                       Clock::time_point now) {
   st.ok_streak = 0;
   if (st.health == ShardHealth::kStopped) return;
   if (shard_stopped) {
@@ -393,7 +363,7 @@ void FrontDoor::pending_done_locked() {
 
 void FrontDoor::drain() {
   for (;;) {
-    // Flush shard queues outside mu_ (a kFailover retry may land new work
+    // Flush shard queues outside mu_ (a failover retry may land new work
     // on a shard after its drain returned — hence the outer loop).
     for (auto& st : shards_) {
       if (st->server->accepting()) st->server->drain();

@@ -10,14 +10,14 @@
 //        ▼
 //   consistent-hash ring (vnodes) ──> owner shard ── unhealthy? walk to the
 //        │                                           next live shard
-//        ▼                                           (kFailover) or fail
-//   shard InferenceServer::submit ──> shard future   fast (kFailFast)
+//        ▼
+//   shard InferenceServer::submit ──> shard future
 //        │
 //        ▼
 //   per-shard forwarder thread: waits on shard futures in submit order,
-//   fills the cache, trips/probes the breaker on rejections & timeouts,
-//   retries rejected requests on the remaining live shards (kFailover),
-//   and fulfills the front-door future the caller holds.
+//   fills the cache, trips/probes the breaker on rejections, retries
+//   rejected requests on the remaining live shards, and fulfills the
+//   front-door future the caller holds.
 //
 // Guarantees, in the spirit of docs/serving.md:
 //
@@ -28,9 +28,9 @@
 //     same shard while the live set is unchanged; a shard's death remaps
 //     only its ~1/N of the key space (ring successor takeover), and its
 //     recovery restores the original mapping exactly.
-//   * No accepted request lost under kFailover — as long as one shard is
-//     routable, a rejected/timed-out request is retried on the remaining
-//     live shards before its future is allowed to fail; stop_shard()
+//   * No accepted request lost — as long as one shard is routable, a
+//     rejected request is retried on the remaining live shards before its
+//     future is allowed to fail; stop_shard()
 //     itself drains the shard's accepted work before it goes dark.
 //   * Honest aggregation — ClusterStats latency percentiles are computed
 //     from merged per-shard sample windows (LatencyRecorder::merge), never
@@ -81,8 +81,8 @@ class FrontDoor {
   /// Submit one request. Cache hits resolve the future before submit
   /// returns; misses route by consistent hash to a live shard. Admission
   /// failures surface as ServerRejected through the future (reason
-  /// kUnhealthy when no routable shard exists or kFailFast hits a dead
-  /// owner). Safe from any number of threads.
+  /// kUnhealthy when no routable shard exists). Safe from any number of
+  /// threads.
   std::future<QTensor> submit(const std::string& model_id, Tensor image,
                               RequestClass cls = RequestClass::kNormal);
 
@@ -124,19 +124,20 @@ class FrontDoor {
   struct ShardState;
 
   void forwarder_main(int sid);
-  /// First routable shard for `key` in ring-successor order, honoring
-  /// HealthPolicy and skipping `tried`; -1 when none. Also lazily moves
-  /// cooled-down breakers to kProbing. Lock held.
-  int route_locked(std::uint64_t key, std::chrono::steady_clock::time_point now,
-                   const std::vector<int>& tried);
+  /// First routable shard for `key` in ring-successor order, skipping
+  /// `tried`; -1 when none. Also lazily moves cooled-down breakers to
+  /// kProbing. Lock held.
+  int route_locked(std::uint64_t key, Clock::time_point now, const std::vector<int>& tried);
   bool routable_locked(int sid) const;
   void breaker_success_locked(ShardState& st);
-  void breaker_failure_locked(ShardState& st, bool shard_stopped,
-                              std::chrono::steady_clock::time_point now);
+  void breaker_failure_locked(ShardState& st, bool shard_stopped, Clock::time_point now);
   /// One request left the pending pipeline (resolved either way). Lock held.
   void pending_done_locked();
 
   FrontDoorOptions options_;
+  /// Resolved time source: options_.server.clock, or the process steady
+  /// clock — the one the shards read.
+  const Clock* clock_ = nullptr;
   HashRing ring_;
   ResultCache cache_;
 

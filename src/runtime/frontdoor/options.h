@@ -1,6 +1,7 @@
-// Configuration for the cluster front door: how many shards, how requests
-// are placed on them (ring granularity), what is cached, and how shard
-// failure is detected and handled.
+// Configuration for the cluster front door: how many shards, what is
+// cached, and how shard failure is detected. Placement is a consistent-hash
+// ring with 64 virtual nodes per shard, and a request whose owner shard is
+// unhealthy or stopped fails over to the key's next live ring successor.
 //
 // Follows the options.h house rules: every field has a stated default and a
 // stated interaction with its neighbours; docs/frontdoor.md is the prose
@@ -14,28 +15,12 @@
 
 namespace bswp::runtime {
 
-/// What submit() does when the shard owning a request's ring segment is
-/// unhealthy (breaker open) or stopped.
-enum class HealthPolicy {
-  /// Fail the request's future immediately with ServerRejected{kUnhealthy}.
-  /// O(1), no cross-shard blast radius: choose this when the caller has its
-  /// own fallback and a slow answer is worse than no answer.
-  kFailFast,
-  /// Route to the key's next live shard in ring-successor order (the
-  /// default), and retry a request whose shard rejects or times out mid-
-  /// flight on the remaining live shards. An accepted front-door future
-  /// then resolves as long as any shard stays up; the cost is a warm-
-  /// affinity miss on the takeover shard and (on mid-flight retry) one
-  /// retained input copy per in-flight request.
-  kFailover,
-};
-
 /// Per-shard circuit breaker. The hysteresis shape is the autoscaler's
 /// (AutoscalerOptions): consecutive-observation streaks open/close the
 /// breaker and a cooldown separates state changes, so one transient
 /// rejection cannot flap a shard out of the ring.
 ///
-///   healthy --(unhealthy_after consecutive rejections/timeouts)--> unhealthy
+///   healthy --(unhealthy_after consecutive shard rejections)--> unhealthy
 ///   unhealthy --(cooldown elapsed)--> probing (routable again)
 ///   probing --(healthy_after consecutive successes)--> healthy
 ///   probing --(any failure)--> unhealthy (cooldown restarts)
@@ -43,8 +28,8 @@ enum class HealthPolicy {
 /// A stopped shard (InferenceServer no longer accepting) is routed around
 /// immediately regardless of streaks — there is nothing to probe.
 struct BreakerOptions {
-  /// Consecutive shard-caused failures (rejections, timeouts — never
-  /// client errors like a bad input shape) that open the breaker
+  /// Consecutive shard-caused failures (rejections — never client errors
+  /// like a bad input shape) that open the breaker
   /// (default 3, must be >= 1).
   int unhealthy_after = 3;
   /// Consecutive successes while probing that close it (default 2, >= 1).
@@ -60,35 +45,18 @@ struct FrontDoorOptions {
   /// Every registered model exists on every shard; the ring decides which
   /// shard serves which (model, input) key.
   int shards = 2;
-  /// Virtual nodes per shard on the consistent-hash ring (default 64,
-  /// >= 1). More vnodes -> smoother key split across shards and smaller
-  /// remap variance when a shard drops; cost is O(shards * vnodes) ring
-  /// memory and a log of it per lookup.
-  int vnodes_per_shard = 64;
   /// Configuration applied to every shard (workers, batching, queues,
   /// autoscaler — see ServerOptions). Shards are deliberately identical:
-  /// heterogeneous fleets belong behind heterogeneous front doors.
+  /// heterogeneous fleets belong behind heterogeneous front doors. Its
+  /// `clock` is the front door's time source too (breaker cooldowns,
+  /// latency stamps).
   ServerOptions server;
   /// Result-cache entries retained (default 0 = disabled). Bit-identical
   /// repeat inputs are answered from the cache without touching a shard;
   /// see runtime/frontdoor/result_cache.h for the keying contract.
   std::size_t cache_capacity = 0;
-  /// Unhealthy-shard handling (default kFailover).
-  HealthPolicy health = HealthPolicy::kFailover;
   /// Failure-detection hysteresis (see BreakerOptions).
   BreakerOptions breaker;
-  /// Per-request completion deadline measured from submit (default 0 =
-  /// none). A request not completed in time counts as a shard timeout for
-  /// the breaker and — under kFailover — is retried on the next live
-  /// shard; under kFailFast its future fails with the timeout error. The
-  /// shard may still finish the abandoned work (it is not cancelled), so
-  /// set this comfortably above worst-case queue + execution time.
-  std::chrono::microseconds request_timeout{0};
-  /// Retained front-door end-to-end latency samples per shard (ring
-  /// window; default 65536, 0 = unbounded). Cluster percentiles are
-  /// computed by merging these windows (LatencyRecorder::merge), never by
-  /// averaging per-shard percentiles.
-  std::size_t latency_window = 1 << 16;
 };
 
 }  // namespace bswp::runtime

@@ -47,8 +47,8 @@ struct ShardStats {
   /// extra load this shard absorbed for its neighbours.
   std::uint64_t takeovers = 0;
   /// Shard-caused failures observed by the front door against this shard:
-  /// rejections and request timeouts (client errors are not counted — they
-  /// would fail anywhere).
+  /// rejections (client errors are not counted — they would fail
+  /// anywhere).
   std::uint64_t failures = 0;
   /// Breaker transitions: healthy->unhealthy openings and probe-confirmed
   /// closings since start/reset_stats().
@@ -75,12 +75,12 @@ struct ClusterStats {
   std::uint64_t submitted = 0;
   /// Futures fulfilled with logits (from cache or a shard).
   std::uint64_t completed = 0;
-  /// Futures fulfilled with an error after exhausting policy (client
-  /// errors, kFailFast refusals, all-shards-down, timeouts).
+  /// Futures fulfilled with an error: client errors, and requests no
+  /// routable shard was left to serve (ServerRejected kUnhealthy, or the
+  /// last shard's rejection once every live shard has refused).
   std::uint64_t failed = 0;
   /// Mid-flight retries: requests re-submitted to another shard after a
-  /// rejection/timeout (kFailover only). One request can retry more than
-  /// once; each hop counts.
+  /// rejection. One request can retry more than once; each hop counts.
   std::uint64_t failovers = 0;
   /// Times the set of routable shards changed (a trip, recovery, or stop).
   /// Each change remaps ~1/shards of the key space — the ring's stability

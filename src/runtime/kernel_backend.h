@@ -29,6 +29,7 @@
 // add(). docs/architecture.md §6 places this seam in the full pipeline.
 #pragma once
 
+#include <array>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -122,6 +123,12 @@ class KernelBackend {
 /// cross-image work to share (input, flatten, relu, maxpool, gap, add).
 /// Allocation-free; the base output view ends up describing image 0.
 void for_each_image(const ExecContext& ctx, void (*run_one)(const ExecContext&));
+
+/// The input plan's acceptance rule, shared by the input backend and the
+/// server's pre-dispatch check so the two cannot drift: `img` must be one
+/// CHW (or 1xCxHxW) image, of exactly the shape `want` when `want` is a CHW
+/// triple. Returns the image's {C, H, W}; throws std::invalid_argument.
+std::array<int, 3> check_input_image(const Tensor& img, const std::vector<int>& want);
 
 /// Wildcard variant key for plan kinds that carry no bit-serial variant.
 constexpr int kAnyVariant = -1;

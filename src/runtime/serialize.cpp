@@ -1,5 +1,6 @@
 #include "runtime/serialize.h"
 
+#include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -39,6 +40,20 @@ T read_pod(std::istream& is) {
   return v;
 }
 
+/// Bytes between the read position and the end of `is`, so a length field
+/// can be checked before anything is allocated for it: one flipped byte
+/// must not turn into a multi-gigabyte request. max() for a stream that
+/// cannot seek, where the read itself is the only truncation check.
+std::uint64_t bytes_left(std::istream& is) {
+  const std::istream::pos_type pos = is.tellg();
+  if (pos == std::istream::pos_type(-1)) return UINT64_MAX;
+  is.seekg(0, std::ios::end);
+  const std::istream::pos_type end = is.tellg();
+  is.seekg(pos);
+  if (!is || end == std::istream::pos_type(-1)) throw std::runtime_error("bswp: unreadable stream");
+  return static_cast<std::uint64_t>(end - pos);
+}
+
 void write_string(std::ostream& os, const std::string& s) {
   write_pod<uint32_t>(os, static_cast<uint32_t>(s.size()));
   os.write(s.data(), static_cast<std::streamsize>(s.size()));
@@ -47,6 +62,7 @@ void write_string(std::ostream& os, const std::string& s) {
 std::string read_string(std::istream& is) {
   const auto n = read_pod<uint32_t>(is);
   if (n > (1u << 20)) throw std::runtime_error("bswp: implausible string length");
+  if (n > bytes_left(is)) throw std::runtime_error("bswp: string length past the end of the file");
   std::string s(n, '\0');
   is.read(s.data(), n);
   if (!is) throw std::runtime_error("bswp: truncated network file");
@@ -64,6 +80,9 @@ template <typename T>
 std::vector<T> read_vec(std::istream& is) {
   const auto n = read_pod<uint64_t>(is);
   if (n > (1ull << 32)) throw std::runtime_error("bswp: implausible vector length");
+  if (n > bytes_left(is) / sizeof(T)) {
+    throw std::runtime_error("bswp: vector length past the end of the file");
+  }
   std::vector<T> v(static_cast<std::size_t>(n));
   is.read(reinterpret_cast<char*>(v.data()), static_cast<std::streamsize>(n * sizeof(T)));
   if (!is && n > 0) throw std::runtime_error("bswp: truncated network file");

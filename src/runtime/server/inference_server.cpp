@@ -16,45 +16,26 @@ namespace bswp::runtime {
 
 namespace {
 
+/// End-to-end and executor latency samples retained per model and server-
+/// wide (ring windows; the percentiles in ServerStats cover these).
+constexpr std::size_t kLatencyWindow = 1 << 16;
+
 double micros_between(Clock::time_point t0, Clock::time_point t1) {
   return std::chrono::duration<double, std::micro>(t1 - t0).count();
 }
+
+/// num / den, 0 when den is 0.
+double ratio(std::uint64_t num, std::uint64_t den) {
+  return den > 0 ? static_cast<double>(num) / static_cast<double>(den) : 0.0;
+}
+
+double mean_batch(const DispatchCounters& c) { return ratio(c.dispatched, c.batches); }
 
 void validate(const ModelConfig& config, const char* who) {
   check(config.batching.max_batch >= 1, std::string(who) + ": max_batch must be >= 1");
   check(config.batching.max_delay.count() >= 0, std::string(who) + ": max_delay must be >= 0");
   check(config.queue.capacity >= 1, std::string(who) + ": queue capacity must be >= 1");
   check(config.weight >= 1, std::string(who) + ": priority weight must be >= 1");
-}
-
-/// Mirrors InputBackend's shape check (structural_backends.cpp) so a bad
-/// request can be rejected *before* the batch dispatches: under batched
-/// execution its neighbours ride one batched executor call undisturbed.
-/// Returns null when the image is a valid single CHW/1xCxHxW image of shape
-/// `want` (or when the compiled input shape is unknown — the executor then
-/// remains the authority).
-std::exception_ptr validate_image(const Tensor& img, const std::vector<int>& want) {
-  if (want.size() != 3) return nullptr;
-  int c = 0, h = 0, w = 0;
-  if (img.rank() == 3) {
-    c = img.dim(0);
-    h = img.dim(1);
-    w = img.dim(2);
-  } else if (img.rank() == 4 && img.dim(0) == 1) {
-    c = img.dim(1);
-    h = img.dim(2);
-    w = img.dim(3);
-  } else {
-    return std::make_exception_ptr(
-        std::invalid_argument("engine: input must be a single CHW image"));
-  }
-  if (c != want[0] || h != want[1] || w != want[2]) {
-    return std::make_exception_ptr(std::invalid_argument(
-        "engine: input image shape " + std::to_string(c) + "x" + std::to_string(h) + "x" +
-        std::to_string(w) + " does not match the network input " + std::to_string(want[0]) +
-        "x" + std::to_string(want[1]) + "x" + std::to_string(want[2])));
-  }
-  return nullptr;
 }
 
 void validate(const AutoscalerOptions& a, const char* who) {
@@ -65,11 +46,9 @@ void validate(const AutoscalerOptions& a, const char* who) {
   check(a.interval.count() > 0, std::string(who) + ": autoscaler interval must be > 0");
   check(a.up_queue_per_worker > 0.0,
         std::string(who) + ": autoscaler up_queue_per_worker must be > 0");
-  check(a.up_latency_us >= 0.0, std::string(who) + ": autoscaler up_latency_us must be >= 0");
   check(a.up_consecutive >= 1 && a.down_consecutive >= 1,
         std::string(who) + ": autoscaler hysteresis streaks must be >= 1");
   check(a.cooldown.count() >= 0, std::string(who) + ": autoscaler cooldown must be >= 0");
-  check(a.evict_after.count() >= 0, std::string(who) + ": autoscaler evict_after must be >= 0");
 }
 
 }  // namespace
@@ -93,14 +72,15 @@ struct InferenceServer::Request {
 /// Everything the server knows about one registered model. Heap-pinned
 /// (unique_ptr in models_) so workers can key executor caches and in-flight
 /// batches by address. All fields are guarded by the server's mu_, except
-/// the latency recorder, which lives behind stats_mu_.
+/// the latency recorders, which live behind stats_mu_.
 ///
 /// The queue is two FIFOs, one per RequestClass: dispatch pops kHigh first,
 /// kShedOldest evicts kNormal first, and the batching deadline runs from the
 /// oldest request across both.
 struct InferenceServer::ModelState {
-  ModelState(std::string id_, const CompiledNetwork& n, const ModelConfig& c, std::size_t window)
-      : id(std::move(id_)), net(&n), config(c), latency(window), exec_latency(window) {
+  ModelState(std::string id_, const CompiledNetwork& n, const ModelConfig& c)
+      : id(std::move(id_)), net(&n), config(c), latency(kLatencyWindow),
+        exec_latency(kLatencyWindow) {
     for (const auto& p : n.plans) {
       if (p.kind == PlanKind::kInput) {
         input_chw = p.out_chw;
@@ -112,8 +92,8 @@ struct InferenceServer::ModelState {
   std::string id;
   const CompiledNetwork* net;
   ModelConfig config;
-  /// The compiled input CHW, for pre-dispatch shape validation under batched
-  /// execution (empty when the network has no kInput plan).
+  /// The compiled input CHW, for pre-dispatch shape validation (empty when
+  /// the network has no kInput plan).
   std::vector<int> input_chw;
   /// Execution-aware deadline schedule: remaining_us[p] is the estimated
   /// per-image microseconds from layer p (inclusive) to the end of the plan,
@@ -131,26 +111,19 @@ struct InferenceServer::ModelState {
 
   std::deque<Request> high;  // RequestClass::kHigh, FIFO
   std::deque<Request> norm;  // RequestClass::kNormal, FIFO
-  /// kWeightedDeficit: batches this model may still dispatch in the current
+  /// Weighted deficit: batches this model may still dispatch in the current
   /// scheduling cycle. Refilled to config.weight when every ready model has
   /// spent its grant; zeroed when the queue empties (no banked bursts).
   int credits = 0;
 
-  AdmissionCounters adm;
-  std::uint64_t batches = 0;     // batches handed to workers
-  std::uint64_t dispatched = 0;  // requests handed to workers
-  std::uint64_t affinity_hits = 0;
-  std::uint64_t affinity_misses = 0;
-  std::uint64_t session_affinity_hits = 0;    // keyed batches on the sticky worker
-  std::uint64_t session_affinity_misses = 0;  // keyed batches elsewhere
-  std::uint64_t deadline_expired = 0;         // requests purged past deadline
+  /// Admission and dispatch counters, zeroed by reset_stats().
+  DispatchCounters counters;
   /// Sticky worker of each session-affinity key, written at dispatch and
   /// erased by forget_affinity(). State, not statistics: reset_stats leaves
   /// it alone. Defensively bounded in dispatch_locked — a client that leaks
   /// keys (never calls forget_affinity) degrades to cold placement instead
   /// of growing this map without bound.
   std::unordered_map<std::uint64_t, int> sticky;
-  std::vector<std::uint64_t> batch_size_hist;  // index = batch size
   LatencyRecorder latency;  // end-to-end, incl. queueing (guarded by stats_mu_)
   LatencyRecorder exec_latency;  // executor time only (guarded by stats_mu_)
 
@@ -204,26 +177,15 @@ struct InferenceServer::WorkerState {
   bool has_task = false;  // batch placed, not yet picked up
   BatchTask task;
   /// Models whose arena Executor this worker has built (affinity targets).
-  /// Survives descaling: a parked worker re-enters warm — unless the
-  /// autoscaler eviction policy (evict_after / max_warm_bytes) reclaims it.
+  /// Survives descaling: a parked worker re-enters warm.
   std::vector<const ModelState*> warm;
-  /// Eviction request from the autoscaler: the parked worker wakes, drops
-  /// its executor cache and clears the flag (skipped if a dispatch raced in
-  /// — a worker holding a task is live again and never evicted mid-flight).
-  bool evict_requested = false;
-  /// Arena bytes of the executors this worker currently holds; summed into
-  /// ServerStats::warm_bytes and drained by the max_warm_bytes policy.
-  std::size_t warm_bytes = 0;
-  /// Completion time of this worker's last batch — the idleness the
-  /// evict_after policy measures. Initialized to server construction time.
-  Clock::time_point last_active;
 };
 
 InferenceServer::InferenceServer(const ServerOptions& options)
     : options_(options),
       clock_(options.clock != nullptr ? options.clock : &steady_clock_ref()),
-      global_latency_(options.latency_window),
-      global_exec_latency_(options.latency_window) {
+      global_latency_(kLatencyWindow),
+      global_exec_latency_(kLatencyWindow) {
   check(options_.workers >= 1, "InferenceServer: workers must be >= 1");
   validate(ModelConfig{options_.batching, options_.queue}, "InferenceServer");
   validate(options_.autoscaler, "InferenceServer");
@@ -237,10 +199,7 @@ InferenceServer::InferenceServer(const ServerOptions& options)
   next_eval_ = last_scale_ + a.interval;
 
   worker_state_.reserve(static_cast<std::size_t>(threads));
-  for (int i = 0; i < threads; ++i) {
-    worker_state_.push_back(std::make_unique<WorkerState>());
-    worker_state_.back()->last_active = last_scale_;
-  }
+  for (int i = 0; i < threads; ++i) worker_state_.push_back(std::make_unique<WorkerState>());
   scheduler_ = std::thread([this] { scheduler_main(); });
   workers_.reserve(static_cast<std::size_t>(threads));
   for (int i = 0; i < threads; ++i) {
@@ -258,7 +217,7 @@ void InferenceServer::register_model(const std::string& model_id, const Compiled
                                      const ModelConfig& config) {
   check(!net.plans.empty(), "InferenceServer::register_model: empty network");
   validate(config, "InferenceServer::register_model");
-  auto state = std::make_unique<ModelState>(model_id, net, config, options_.latency_window);
+  auto state = std::make_unique<ModelState>(model_id, net, config);
   if (state->input_chw.size() == 3) {
     // One-time per-layer cost capture: the estimate source for execution-
     // aware deadlines. A throwaway single-image Executor runs the plan once,
@@ -286,10 +245,8 @@ void InferenceServer::register_model(const std::string& model_id, const Compiled
   }
   std::lock_guard<std::mutex> lock(mu_);
   check(accepting_, "InferenceServer::register_model: server is shut down");
-  for (const auto& m : models_) {
-    check(m->id != model_id,
-          "InferenceServer::register_model: duplicate model id '" + model_id + "'");
-  }
+  check(find_model_locked(model_id) == nullptr,
+        "InferenceServer::register_model: duplicate model id '" + model_id + "'");
   models_.push_back(std::move(state));
 }
 
@@ -307,17 +264,11 @@ std::future<QTensor> InferenceServer::submit(const std::string& model_id, Tensor
   std::future<QTensor> fut = promise.get_future();
 
   std::unique_lock<std::mutex> lock(mu_);
-  ModelState* m = nullptr;
-  for (const auto& cand : models_) {
-    if (cand->id == model_id) {
-      m = cand.get();
-      break;
-    }
-  }
+  ModelState* m = find_model_locked(model_id);
   check(m != nullptr, "InferenceServer::submit: unknown model '" + model_id + "'");
 
   const auto reject = [&](ServerRejected::Reason reason, const char* what) {
-    ++m->adm.rejected;
+    ++m->counters.admission.rejected;
     lock.unlock();
     promise.set_exception(std::make_exception_ptr(ServerRejected(reason, what)));
     return std::move(fut);
@@ -348,7 +299,7 @@ std::future<QTensor> InferenceServer::submit(const std::string& model_id, Tensor
         // idle predicate, and their "every accepted future is ready"
         // guarantee would otherwise race the set_exception below.
         Request victim = m->pop_shed_victim();
-        ++m->adm.shed;
+        ++m->counters.admission.shed;
         victim.promise.set_exception(std::make_exception_ptr(ServerRejected(
             ServerRejected::Reason::kShed,
             "InferenceServer: shed by a newer request (kShedOldest)")));
@@ -365,21 +316,24 @@ std::future<QTensor> InferenceServer::submit(const std::string& model_id, Tensor
   r.affinity_key = options.affinity_key;
   if (options.deadline.count() > 0) r.deadline = r.enqueue + options.deadline;
   (options.cls == RequestClass::kHigh ? m->high : m->norm).push_back(std::move(r));
-  ++m->adm.accepted;
+  ++m->counters.admission.accepted;
   sched_cv_.notify_one();
   return fut;
 }
 
 void InferenceServer::forget_affinity(const std::string& model_id, std::uint64_t affinity_key) {
   std::lock_guard<std::mutex> lock(mu_);
+  ModelState* m = find_model_locked(model_id);
+  check(m != nullptr, "InferenceServer::forget_affinity: unknown model '" + model_id + "'");
+  m->sticky.erase(affinity_key);
+}
+
+InferenceServer::ModelState* InferenceServer::find_model_locked(
+    const std::string& model_id) const {
   for (const auto& m : models_) {
-    if (m->id == model_id) {
-      m->sticky.erase(affinity_key);
-      return;
-    }
+    if (m->id == model_id) return m.get();
   }
-  throw std::invalid_argument("InferenceServer::forget_affinity: unknown model '" + model_id +
-                              "'");
+  return nullptr;
 }
 
 Clock::duration InferenceServer::exec_estimate_locked(const ModelState& m) const {
@@ -412,8 +366,8 @@ void InferenceServer::expire_deadlines_locked(ModelState& m, Clock::time_point n
         // once the request leaves the queue it is invisible to the
         // drain()/shutdown idle predicate, whose "every accepted future is
         // ready" guarantee must not race this set_exception.
-        ++m.adm.shed;
-        ++m.deadline_expired;
+        ++m.counters.admission.shed;
+        ++m.counters.deadline_expired;
         it->promise.set_exception(std::make_exception_ptr(ServerRejected(
             ServerRejected::Reason::kDeadlineExpired,
             "InferenceServer: deadline unmeetable (expired in queue, or remaining "
@@ -550,25 +504,16 @@ void InferenceServer::dispatch_locked(ModelState& m, int wid, bool affinity_hit,
   for (const Request& r : task.requests) {
     if (r.affinity_key != 0) m.sticky[r.affinity_key] = wid;
   }
-  if (lead_key != 0) {
-    if (session_hit) {
-      ++m.session_affinity_hits;
-    } else {
-      ++m.session_affinity_misses;
-    }
-  }
   if (m.credits > 0) --m.credits;
   if (m.queued() == 0) m.credits = 0;  // no banking across idle periods
 
-  ++m.batches;
-  m.dispatched += take;
-  if (m.batch_size_hist.size() <= take) m.batch_size_hist.resize(take + 1, 0);
-  ++m.batch_size_hist[take];
-  if (affinity_hit) {
-    ++m.affinity_hits;
-  } else {
-    ++m.affinity_misses;
-  }
+  DispatchCounters& c = m.counters;
+  if (lead_key != 0) ++(session_hit ? c.session_affinity_hits : c.session_affinity_misses);
+  ++(affinity_hit ? c.affinity_hits : c.affinity_misses);
+  ++c.batches;
+  c.dispatched += take;
+  if (c.batch_size_hist.size() <= take) c.batch_size_hist.resize(take + 1, 0);
+  ++c.batch_size_hist[take];
 
   w.task = std::move(task);
   w.has_task = true;
@@ -623,16 +568,8 @@ void InferenceServer::autoscale_locked(Clock::time_point now) {
     if (w->has_task) ++occupied;
   }
 
-  bool pressure =
+  const bool pressure =
       static_cast<double>(queued) > a.up_queue_per_worker * static_cast<double>(live_workers_);
-  // The latency EWMA only moves when batches complete, so it goes stale the
-  // moment traffic stops; gate it on work actually waiting, or a drained
-  // server would read the last burst's EWMA as pressure forever and never
-  // take the shrink branch below.
-  if (!pressure && queued > 0 && a.up_latency_us > 0.0 && lat_ewma_valid_ &&
-      lat_ewma_us_ > a.up_latency_us) {
-    pressure = true;
-  }
   const bool idle = queued == 0 && occupied < live_workers_;
 
   // Hysteresis: a signal must hold for a consecutive streak of evaluations,
@@ -665,45 +602,6 @@ void InferenceServer::autoscale_locked(Clock::time_point now) {
     up_streak_ = 0;
     down_streak_ = 0;
   }
-
-  // Executor-cache eviction rides the autoscaler cadence. Only parked
-  // workers (index >= live_workers_) are candidates: a live worker's cache
-  // is the affinity machinery's working set, and a busy or tasked worker is
-  // about to refresh last_active anyway. The flag wakes the worker, which
-  // drops its own cache (the arenas are its thread-local state).
-  if (a.evict_after.count() > 0) {
-    for (std::size_t i = static_cast<std::size_t>(live_workers_); i < worker_state_.size();
-         ++i) {
-      WorkerState& w = *worker_state_[i];
-      if (w.warm_bytes > 0 && !w.busy && !w.has_task && !w.evict_requested &&
-          now - w.last_active >= a.evict_after) {
-        w.evict_requested = true;
-        w.cv.notify_one();
-      }
-    }
-  }
-  if (a.max_warm_bytes > 0) {
-    std::size_t total = 0;
-    for (const auto& w : worker_state_) {
-      if (!w->evict_requested) total += w->warm_bytes;
-    }
-    // Over budget: evict parked workers oldest-idle-first until under (or
-    // until only live workers hold the remainder — live caches are never
-    // reclaimed, so a budget smaller than the live working set is advisory).
-    while (total > a.max_warm_bytes) {
-      WorkerState* victim = nullptr;
-      for (std::size_t i = static_cast<std::size_t>(live_workers_); i < worker_state_.size();
-           ++i) {
-        WorkerState& w = *worker_state_[i];
-        if (w.warm_bytes == 0 || w.busy || w.has_task || w.evict_requested) continue;
-        if (victim == nullptr || w.last_active < victim->last_active) victim = &w;
-      }
-      if (victim == nullptr) break;
-      victim->evict_requested = true;
-      total -= victim->warm_bytes;
-      victim->cv.notify_one();
-    }
-  }
 }
 
 void InferenceServer::worker_main(int wid) {
@@ -712,12 +610,13 @@ void InferenceServer::worker_main(int wid) {
   // stable ModelState address; arenas stay warm across batches (and across
   // descale/rescale — a parked worker keeps its cache, which is what makes
   // affinity hits resume immediately after a scale-up). Executors are built
-  // with the model's max_batch so batched dispatch has the arena slots.
+  // with the model's max_batch so a full batch has its arena slots.
   std::unordered_map<const ModelState*, std::unique_ptr<Executor>> executors;
-  // Batched dispatch stages validated images contiguously here (Tensor moves
-  // only) so the whole batch goes through ONE run_batch_view span; both
-  // vectors keep their capacity across batches, so the steady state of a
-  // warm worker performs no heap allocations on the dispatch path.
+  // Every batch, one request or many, stages its validated images
+  // contiguously here (Tensor moves only) and goes through ONE
+  // run_batch_view span; both vectors keep their capacity across batches,
+  // so the steady state of a warm worker performs no heap allocations on
+  // the dispatch path.
   std::vector<Tensor> staging;
   std::vector<std::size_t> staged_req;  // staging slot -> request index
   // One reusable cooperative token: armed per executor call (owner-thread
@@ -727,32 +626,8 @@ void InferenceServer::worker_main(int wid) {
 
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    self.cv.wait(lock,
-                 [&] { return stop_threads_ || self.has_task || self.evict_requested; });
-    if (self.evict_requested) {
-      self.evict_requested = false;
-      if (!self.has_task && !executors.empty()) {
-        // Drop the cache. The unique_ptrs move to a local vector so the
-        // arenas (the actual memory the policy reclaims) are freed outside
-        // mu_; counters and the scheduler-visible warm set update first.
-        std::vector<std::unique_ptr<Executor>> dropped;
-        dropped.reserve(executors.size());
-        for (auto& entry : executors) {
-          if (entry.second != nullptr) dropped.push_back(std::move(entry.second));
-        }
-        executors.clear();
-        evicted_executors_ += dropped.size();
-        self.warm.clear();
-        self.warm_bytes = 0;
-        lock.unlock();
-        dropped.clear();
-        lock.lock();
-      }
-    }
-    if (!self.has_task) {
-      if (stop_threads_) return;  // queues already drained
-      continue;                   // eviction wake (or spurious): nothing to run
-    }
+    self.cv.wait(lock, [&] { return stop_threads_ || self.has_task; });
+    if (!self.has_task) return;  // stop_threads_: queues already drained
     BatchTask task = std::move(self.task);
     self.task = BatchTask{};
     self.has_task = false;
@@ -777,7 +652,6 @@ void InferenceServer::worker_main(int wid) {
     struct Outcome {
       QTensor logits;
       std::exception_ptr error;
-      double e2e_us = 0.0;
       double exec_us = 0.0;  // executor wall time attributed to this request
       bool ran = false;      // produced logits (exec_us is meaningful)
       bool shed = false;     // cancelled at a layer boundary (SLO unreachable)
@@ -806,10 +680,10 @@ void InferenceServer::worker_main(int wid) {
           "InferenceServer: in-flight work shed at a layer boundary (deadline "
           "unreachable)"));
     };
-    // Per-request execution: the path for a lone request, and the fallback
-    // that isolates a failing request to its own future when a batched call
-    // throws (batch neighbours are other clients' requests). Solo runs are
-    // governed by the request's own deadline.
+    // Per-request execution: the fallback that isolates a failing request to
+    // its own future when a batched call of two or more throws (batch
+    // neighbours are other clients' requests). Solo runs are governed by the
+    // request's own deadline.
     const auto run_solo = [&](const Tensor& image, Clock::time_point deadline, Outcome& o) {
       arm_token(deadline, 1);
       const Clock::time_point r0 = clock_->now();
@@ -826,7 +700,7 @@ void InferenceServer::worker_main(int wid) {
     };
     if (build_error != nullptr) {
       for (Outcome& o : outcomes) o.error = build_error;
-    } else if (task.requests.size() > 1) {
+    } else {
       // Up-front shape validation: a bad request fails its own future here
       // and never enters the batch, so its neighbours still ride the single
       // batched executor call.
@@ -834,14 +708,18 @@ void InferenceServer::worker_main(int wid) {
       staged_req.clear();
       Clock::time_point latest_deadline = Clock::time_point::min();
       for (std::size_t i = 0; i < task.requests.size(); ++i) {
-        std::exception_ptr bad = validate_image(task.requests[i].image, m.input_chw);
-        if (bad != nullptr) {
-          outcomes[i].error = bad;
-        } else {
-          staging.push_back(std::move(task.requests[i].image));
-          staged_req.push_back(i);
-          latest_deadline = std::max(latest_deadline, task.requests[i].deadline);
+        Request& r = task.requests[i];
+        if (m.input_chw.size() == 3) {
+          try {
+            check_input_image(r.image, m.input_chw);
+          } catch (...) {
+            outcomes[i].error = std::current_exception();
+            continue;
+          }
         }
+        staging.push_back(std::move(r.image));
+        staged_req.push_back(i);
+        latest_deadline = std::max(latest_deadline, r.deadline);
       }
       if (!staging.empty()) {
         // Armed with the LATEST member deadline: the batch runs (and members
@@ -850,27 +728,17 @@ void InferenceServer::worker_main(int wid) {
         // outright, because the batch must complete for it.
         arm_token(latest_deadline, staging.size());
         const Clock::time_point exec_t0 = clock_->now();
-        bool batch_ok = true;
+        std::exception_ptr batch_error;
         bool batch_shed = false;
         try {
           exec->run_batch_view(std::span<const Tensor>(staging.data(), staging.size()),
                                nullptr, &cancel);
         } catch (const ExecutionCancelled&) {
-          batch_ok = false;
           batch_shed = true;
         } catch (...) {
-          batch_ok = false;
+          batch_error = std::current_exception();
         }
-        if (batch_ok) {
-          const double per_image_us = micros_between(exec_t0, clock_->now()) /
-                                      static_cast<double>(staging.size());
-          for (std::size_t k = 0; k < staging.size(); ++k) {
-            Outcome& o = outcomes[staged_req[k]];
-            o.logits = exec->logits_view(static_cast<int>(k)).to_qtensor();
-            o.exec_us = per_image_us;
-            o.ran = true;
-          }
-        } else if (batch_shed) {
+        if (batch_shed) {
           // Deliberate shed: no member could meet its SLO, so the run was
           // abandoned at a layer boundary. No per-image fallback — re-running
           // doomed work is exactly the waste this path removes. The arena is
@@ -880,34 +748,33 @@ void InferenceServer::worker_main(int wid) {
             o.shed = true;
             o.error = shed_error();
           }
+        } else if (batch_error == nullptr) {
+          const double per_image_us = micros_between(exec_t0, clock_->now()) /
+                                      static_cast<double>(staging.size());
+          for (std::size_t k = 0; k < staging.size(); ++k) {
+            Outcome& o = outcomes[staged_req[k]];
+            o.logits = exec->logits_view(static_cast<int>(k)).to_qtensor();
+            o.exec_us = per_image_us;
+            o.ran = true;
+          }
+        } else if (staging.size() == 1) {
+          outcomes[staged_req[0]].error = batch_error;  // nobody to isolate it from
         } else {
           for (std::size_t k = 0; k < staging.size(); ++k) {
             run_solo(staging[k], task.requests[staged_req[k]].deadline, outcomes[staged_req[k]]);
           }
         }
       }
-    } else if (!task.requests.empty()) {
-      run_solo(task.requests[0].image, task.requests[0].deadline, outcomes[0]);
     }
     cancel.disarm();
     const Clock::time_point done = clock_->now();
-    for (std::size_t i = 0; i < task.requests.size(); ++i) {
-      outcomes[i].e2e_us = micros_between(task.requests[i].arrival, done);
-    }
 
     std::size_t ok = 0;
     std::size_t shed_n = 0;
-    std::size_t n_lat = 0;
-    double e2e_sum_us = 0.0;
     double exec_wall_us = 0.0;
     std::size_t exec_images = 0;
     for (const Outcome& o : outcomes) {
-      if (o.shed) {
-        ++shed_n;  // shed mid-run records no latency sample (like a queue purge)
-      } else {
-        e2e_sum_us += o.e2e_us;
-        ++n_lat;
-      }
+      if (o.shed) ++shed_n;
       if (o.ran) {
         exec_wall_us += o.exec_us;
         ++exec_images;
@@ -922,10 +789,11 @@ void InferenceServer::worker_main(int wid) {
     // ready and every latency sample recorded. The locks are taken one at a
     // time, never nested.
     lock.lock();
-    m.adm.completed += ok;
-    m.adm.shed += shed_n;
-    m.deadline_expired += shed_n;  // in-flight sheds count with queue purges
-    m.adm.failed += task.requests.size() - ok - shed_n;
+    AdmissionCounters& adm = m.counters.admission;
+    adm.completed += ok;
+    adm.shed += shed_n;
+    m.counters.deadline_expired += shed_n;  // in-flight sheds count with queue purges
+    adm.failed += task.requests.size() - ok - shed_n;
     lock.unlock();
     for (std::size_t i = 0; i < task.requests.size(); ++i) {
       if (outcomes[i].error != nullptr) {
@@ -935,11 +803,14 @@ void InferenceServer::worker_main(int wid) {
       }
     }
     {
+      // A request shed mid-run records no latency sample (like a queue purge).
       std::lock_guard<std::mutex> stats_lock(stats_mu_);
-      for (const Outcome& o : outcomes) {
+      for (std::size_t i = 0; i < task.requests.size(); ++i) {
+        const Outcome& o = outcomes[i];
         if (o.shed) continue;
-        m.latency.record(o.e2e_us);
-        global_latency_.record(o.e2e_us);
+        const double e2e_us = micros_between(task.requests[i].arrival, done);
+        m.latency.record(e2e_us);
+        global_latency_.record(e2e_us);
         if (o.ran) {
           m.exec_latency.record(o.exec_us);
           global_exec_latency_.record(o.exec_us);
@@ -948,11 +819,7 @@ void InferenceServer::worker_main(int wid) {
     }
 
     lock.lock();
-    if (built) {
-      self.warm.push_back(task.model);
-      self.warm_bytes += exec->arena_bytes();
-    }
-    self.last_active = clock_->now();
+    if (built) self.warm.push_back(task.model);
     if (exec_images > 0 && exec_wall_us > 0.0 && !m.remaining_us.empty() &&
         m.remaining_us.front() > 0.0) {
       // Calibrate the cost model against reality: EWMA of measured-over-
@@ -962,14 +829,6 @@ void InferenceServer::worker_main(int wid) {
           (exec_wall_us / static_cast<double>(exec_images)) / m.remaining_us.front();
       m.cost_scale = m.cost_scale_valid ? 0.2 * ratio + 0.8 * m.cost_scale : ratio;
       m.cost_scale_valid = true;
-    }
-    if (n_lat > 0) {
-      // Batch-mean EWMA of end-to-end latency: the autoscaler's cheap
-      // latency signal (the percentile windows live behind stats_mu_, which
-      // the scheduler never takes). Shed requests contribute nothing.
-      const double mean_us = e2e_sum_us / static_cast<double>(n_lat);
-      lat_ewma_us_ = lat_ewma_valid_ ? 0.2 * mean_us + 0.8 * lat_ewma_us_ : mean_us;
-      lat_ewma_valid_ = true;
     }
     self.busy = false;
     --busy_workers_;
@@ -1029,22 +888,13 @@ void InferenceServer::shutdown() {
 
 ModelStats InferenceServer::snapshot_locked(const ModelState& m) const {
   ModelStats s;
+  static_cast<DispatchCounters&>(s) = m.counters;
   s.model = m.id;
-  s.admission = m.adm;
   s.queue_depth = m.queued();
-  s.batches = m.batches;
-  s.dispatched = m.dispatched;
   s.weight = m.config.weight;
-  s.affinity_hits = m.affinity_hits;
-  s.affinity_misses = m.affinity_misses;
-  s.session_affinity_hits = m.session_affinity_hits;
-  s.session_affinity_misses = m.session_affinity_misses;
-  s.deadline_expired = m.deadline_expired;
-  s.mean_batch_size =
-      m.batches > 0 ? static_cast<double>(m.dispatched) / static_cast<double>(m.batches) : 0.0;
-  s.batch_size_hist = m.batch_size_hist;
+  s.mean_batch_size = mean_batch(s);
   return s;  // latency: summarized by the caller outside the lock;
-             // dispatch_share: filled by stats() once the total is known
+             // dispatch_share: filled by the caller once the total is known
 }
 
 ServerStats InferenceServer::stats() const {
@@ -1058,44 +908,19 @@ ServerStats InferenceServer::stats() const {
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (const auto& m : models_) {
-      ModelStats ms = snapshot_locked(*m);
-      s.admission.accepted += ms.admission.accepted;
-      s.admission.rejected += ms.admission.rejected;
-      s.admission.shed += ms.admission.shed;
-      s.admission.completed += ms.admission.completed;
-      s.admission.failed += ms.admission.failed;
-      s.queue_depth += ms.queue_depth;
-      s.batches += ms.batches;
-      s.dispatched += ms.dispatched;
-      s.affinity_hits += ms.affinity_hits;
-      s.affinity_misses += ms.affinity_misses;
-      s.session_affinity_hits += ms.session_affinity_hits;
-      s.session_affinity_misses += ms.session_affinity_misses;
-      s.deadline_expired += ms.deadline_expired;
-      if (s.batch_size_hist.size() < ms.batch_size_hist.size()) {
-        s.batch_size_hist.resize(ms.batch_size_hist.size(), 0);
-      }
-      for (std::size_t k = 0; k < ms.batch_size_hist.size(); ++k) {
-        s.batch_size_hist[k] += ms.batch_size_hist[k];
-      }
-      s.models.push_back(std::move(ms));
+      s += m->counters;
+      s.queue_depth += m->queued();
+      s.models.push_back(snapshot_locked(*m));
       order.push_back(m.get());  // stable: models are never unregistered
     }
-    s.mean_batch_size =
-        s.batches > 0 ? static_cast<double>(s.dispatched) / static_cast<double>(s.batches) : 0.0;
+    s.mean_batch_size = mean_batch(s);
     s.current_workers = live_workers_;
     s.peak_workers = peak_workers_;
     s.scale_up_events = scale_ups_;
     s.scale_down_events = scale_downs_;
     s.autoscale_evals = autoscale_evals_;
-    s.evicted_executors = evicted_executors_;
-    for (const auto& w : worker_state_) s.warm_bytes += w->warm_bytes;
   }
-  for (ModelStats& ms : s.models) {
-    ms.dispatch_share = s.dispatched > 0
-                            ? static_cast<double>(ms.dispatched) / static_cast<double>(s.dispatched)
-                            : 0.0;
-  }
+  for (ModelStats& ms : s.models) ms.dispatch_share = ratio(ms.dispatched, s.dispatched);
   std::vector<std::vector<double>> model_samples;
   std::vector<std::vector<double>> model_exec_samples;
   std::vector<double> global_samples;
@@ -1126,19 +951,12 @@ ModelStats InferenceServer::model_stats(const std::string& model_id) const {
   std::uint64_t total_dispatched = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& m : models_) {
-      total_dispatched += m->dispatched;
-      if (m->id == model_id) found = m.get();
-    }
-    if (found == nullptr) {
-      throw std::invalid_argument("InferenceServer::model_stats: unknown model '" + model_id +
-                                  "'");
-    }
+    found = find_model_locked(model_id);
+    check(found != nullptr, "InferenceServer::model_stats: unknown model '" + model_id + "'");
+    for (const auto& m : models_) total_dispatched += m->counters.dispatched;
     s = snapshot_locked(*found);
   }
-  s.dispatch_share = total_dispatched > 0
-                         ? static_cast<double>(s.dispatched) / static_cast<double>(total_dispatched)
-                         : 0.0;
+  s.dispatch_share = ratio(s.dispatched, total_dispatched);
   std::vector<double> samples;
   std::vector<double> exec_samples;
   {
@@ -1159,24 +977,13 @@ void InferenceServer::reset_stats() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (const auto& m : models_) {
-      m->adm = AdmissionCounters{};
-      m->batches = 0;
-      m->dispatched = 0;
-      m->affinity_hits = 0;
-      m->affinity_misses = 0;
-      m->session_affinity_hits = 0;
-      m->session_affinity_misses = 0;
-      m->deadline_expired = 0;
-      m->batch_size_hist.clear();
+      m->counters = DispatchCounters{};
       order.push_back(m.get());
     }
     scale_ups_ = 0;
     scale_downs_ = 0;
     autoscale_evals_ = 0;
-    evicted_executors_ = 0;  // warm_bytes is state, not a counter: untouched
     peak_workers_ = live_workers_;
-    lat_ewma_us_ = 0.0;
-    lat_ewma_valid_ = false;
   }
   std::lock_guard<std::mutex> stats_lock(stats_mu_);
   for (ModelState* m : order) {
@@ -1195,13 +1002,6 @@ int InferenceServer::worker_count() const {
 bool InferenceServer::accepting() const {
   std::lock_guard<std::mutex> lock(mu_);
   return accepting_;
-}
-
-std::size_t InferenceServer::queued_total() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::size_t queued = 0;
-  for (const auto& m : models_) queued += m->queued();
-  return queued;
 }
 
 std::vector<std::string> InferenceServer::model_ids() const {

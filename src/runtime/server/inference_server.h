@@ -19,7 +19,7 @@
 //                                                              ▼
 //                        per-worker dispatch slot ──> N live workers out of
 //                        `max_workers` threads; the autoscaler moves the
-//                        live count with queue-depth/latency signals
+//                        live count with the queue-depth signal
 //
 // Batching: a model's batch closes when `max_batch` requests are queued or
 // the oldest has waited `max_delay`, whichever is first. Ready models are
@@ -69,7 +69,7 @@ namespace bswp::runtime {
 /// Delivered through a request's future when admission control refuses it:
 /// a kReject overflow, a kShedOldest eviction, a shutdown-time refusal, a
 /// SubmitOptions::deadline that elapsed in queue, or — through the cluster
-/// front door — a kFailFast route to an unhealthy shard.
+/// front door — a request no routable shard is left to serve.
 class ServerRejected : public std::runtime_error {
  public:
   enum class Reason { kQueueFull, kShed, kShutdown, kUnhealthy, kDeadlineExpired };
@@ -153,9 +153,6 @@ class InferenceServer {
   /// The cluster front door (runtime/frontdoor/) polls this to route around
   /// a stopped shard without burning a request to find out.
   bool accepting() const;
-  /// Queued requests across all models right now — a cheap load signal for
-  /// routing tiers (no latency-window copy, unlike stats()).
-  std::size_t queued_total() const;
 
  private:
   struct Request;
@@ -193,6 +190,8 @@ class InferenceServer {
   void dispatch_locked(ModelState& m, int wid, bool affinity_hit, bool session_hit);
   /// One autoscaler evaluation: maybe move live_workers_ by one. Lock held.
   void autoscale_locked(std::chrono::steady_clock::time_point now);
+  /// The registered model `model_id`, or null. Lock held.
+  ModelState* find_model_locked(const std::string& model_id) const;
   bool queues_empty_locked() const;
   bool workers_quiescent_locked() const;  // no pending slot, none busy
   /// Everything except the latency summary, which the caller computes from
@@ -207,7 +206,7 @@ class InferenceServer {
   std::mutex lifecycle_mu_;  // serializes shutdown()/destructor
   mutable std::mutex mu_;    // queues, dispatch, counters, lifecycle
   // Latency sample windows live behind their own lock so a stats() poll
-  // copying them (up to latency_window doubles per model) never blocks
+  // copying them (up to 65536 doubles per model) never blocks
   // submit or the scheduler on mu_. Discipline: stats_mu_ is NEVER held
   // together with mu_ — every path takes them sequentially.
   mutable std::mutex stats_mu_;
@@ -215,12 +214,12 @@ class InferenceServer {
   std::condition_variable space_cv_;  // kBlock submitters: queue space
   std::condition_variable idle_cv_;   // drain/shutdown: server went idle
 
-  // Registration order drives the round-robin cursor; lookup is a linear
-  // scan, which is fine for the handful of models a server realistically
-  // hosts. ModelState addresses are stable (unique_ptr) — workers key
+  // Registration order drives the weighted-deficit scan; lookup
+  // (find_model_locked) is a linear scan, which is fine for the handful of
+  // models a server realistically hosts. ModelState addresses are stable (unique_ptr) — workers key
   // executor caches and in-flight batches by pointer.
   std::vector<std::unique_ptr<ModelState>> models_;
-  std::size_t rr_ = 0;  // scan cursor into models_ (both policies)
+  std::size_t rr_ = 0;  // weighted-deficit scan cursor into models_
 
   // One state per worker thread; index == thread id. Each has its own
   // dispatch slot and condition variable, so the scheduler wakes exactly
@@ -231,16 +230,10 @@ class InferenceServer {
   std::uint64_t scale_ups_ = 0;
   std::uint64_t scale_downs_ = 0;
   std::uint64_t autoscale_evals_ = 0;
-  std::uint64_t evicted_executors_ = 0;  // executors dropped by eviction
   int up_streak_ = 0;      // consecutive pressure evaluations (hysteresis)
   int down_streak_ = 0;    // consecutive idle evaluations (hysteresis)
   std::chrono::steady_clock::time_point last_scale_;
   std::chrono::steady_clock::time_point next_eval_;
-  // Server-wide EWMA of end-to-end request latency (µs), the autoscaler's
-  // optional latency signal. Updated by workers under mu_ (cheap), unlike
-  // the percentile windows behind stats_mu_.
-  double lat_ewma_us_ = 0.0;
-  bool lat_ewma_valid_ = false;
 
   int busy_workers_ = 0;
   bool accepting_ = true;

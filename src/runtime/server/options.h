@@ -101,8 +101,7 @@ struct SubmitOptions {
 /// one worker at a time between `min_workers` and `max_workers`:
 ///
 ///   grow   when total queued requests exceed `up_queue_per_worker` per live
-///          worker (or the end-to-end latency EWMA exceeds `up_latency_us`,
-///          when set) for `up_consecutive` consecutive evaluations;
+///          worker for `up_consecutive` consecutive evaluations;
 ///   shrink when the queues are empty and at least one live worker is idle
 ///          for `down_consecutive` consecutive evaluations.
 ///
@@ -129,13 +128,6 @@ struct AutoscalerOptions {
   /// (default 4.0, must be > 0). Think of it as "how many requests deep may
   /// the backlog get, per worker, before it buys another worker".
   double up_queue_per_worker = 4.0;
-  /// Optional latency signal (microseconds; default 0 = disabled): also grow
-  /// when the server-wide EWMA of end-to-end request latency (queueing
-  /// included) exceeds this. Use it to scale on slow requests even when the
-  /// queue-depth signal is quiet (shallow but expensive queues). Considered
-  /// only while requests are queued — the EWMA freezes when traffic stops,
-  /// and a stale reading must not hold an idle pool above min_workers.
-  double up_latency_us = 0.0;
   /// Hysteresis streaks (defaults 2 and 4 evaluations, each >= 1). Shrink is
   /// deliberately slower than grow: adding a worker under pressure is cheap,
   /// while removing one too eagerly re-queues the next burst.
@@ -143,22 +135,6 @@ struct AutoscalerOptions {
   int down_consecutive = 4;
   /// Minimum gap between two scale events (default 20 ms, >= 0).
   std::chrono::microseconds cooldown{20000};
-  /// Executor-cache eviction on parked workers (0 = never evict, the
-  /// default). A worker left dispatch-ineligible ("parked") whose last
-  /// batch completed more than `evict_after` ago drops its warm arena
-  /// Executors — from a parked worker's point of view every model is cold,
-  /// and its arenas are pure memory cost until a scale-up. Evicted
-  /// executors rebuild lazily on the next dispatch (an affinity miss, never
-  /// an error; logits are bit-identical after a re-warm). Counted in
-  /// ServerStats::evicted_executors; resident bytes are
-  /// ServerStats::warm_bytes.
-  std::chrono::microseconds evict_after{0};
-  /// Server-wide warm-arena budget in bytes (0 = unbounded). When the total
-  /// arena bytes held by worker executor caches exceeds this, parked
-  /// workers' caches are evicted oldest-idle-first until the total is back
-  /// under budget. Live workers' caches are never evicted — the budget
-  /// bounds parked memory, it does not starve dispatch.
-  std::size_t max_warm_bytes = 0;
 };
 
 /// Per-model configuration (defaults come from ServerOptions; a latency-
@@ -194,10 +170,6 @@ struct ServerOptions {
   QueueOptions queue;
   /// Worker-pool autoscaling (default disabled — fixed `workers`).
   AutoscalerOptions autoscaler;
-  /// Retained end-to-end latency samples per model (ring window; default
-  /// 65536; 0 keeps every sample — fine for tests, unbounded for a
-  /// long-running server).
-  std::size_t latency_window = 1 << 16;
   /// Time source for every timed decision (batching windows, deadlines,
   /// autoscaler cadence, latency stamps). Null (the default) means the
   /// process steady clock; tests inject a runtime::ManualClock to make

@@ -9,10 +9,7 @@
 //     (one dispatch of 1..max_batch requests to one worker);
 //   * every latency field is MICROSECONDS (the `_us` suffix is load-bearing);
 //   * `queue_depth` is an instantaneous request count, not a rate;
-//   * worker counts are live (dispatch-eligible) workers, not threads;
-//   * `evicted_executors` counts EXECUTORS (one warm arena dropped from one
-//     worker's cache); `warm_bytes` is an instantaneous BYTE count of the
-//     arena memory those caches currently hold.
+//   * worker counts are live (dispatch-eligible) workers, not threads.
 #pragma once
 
 #include <cstddef>
@@ -45,25 +42,18 @@ struct AdmissionCounters {
                                 // `shed`, not here
 };
 
-struct ModelStats {
-  std::string model;
+/// The dispatch counters each model keeps, in the form both stats records
+/// carry them: a ModelStats holds one model's, a ServerStats the sum over
+/// models, so a snapshot is one copy, a sum one `+=`, a reset one
+/// assignment.
+struct DispatchCounters {
   AdmissionCounters admission;
-  /// Requests currently waiting to be batched (instantaneous snapshot;
-  /// excludes requests already dispatched to a worker).
-  std::size_t queue_depth = 0;
   /// Batches dispatched to workers since start/reset_stats().
   std::uint64_t batches = 0;
   /// Requests dispatched to workers (sum of batch sizes); >= completed +
   /// failed while batches are in flight.
   std::uint64_t dispatched = 0;
-  /// This model's fraction of all dispatched requests across the server
-  /// (0 when nothing has been dispatched). Under saturation this converges
-  /// toward weight / sum(weights) — compare it against `weight` to see
-  /// whether a model is getting its configured share.
-  double dispatch_share = 0.0;
-  /// ModelConfig::weight echo, so dashboards can plot share vs. weight.
-  int weight = 1;
-  /// Batches placed on a worker that already held this model's warm arena
+  /// Batches placed on a worker that already held the model's warm arena
   /// Executor (hit) vs. one that had to build it (miss);
   /// affinity_hits + affinity_misses == batches. A low hit rate on a hot
   /// model means its executors are being rebuilt instead of staying
@@ -78,17 +68,52 @@ struct ModelStats {
   std::uint64_t session_affinity_hits = 0;
   std::uint64_t session_affinity_misses = 0;
   /// Requests purged from the queue because their SubmitOptions::deadline
-  /// elapsed before dispatch (also included in admission.shed).
+  /// elapsed before dispatch, or shed in flight (also in admission.shed).
   std::uint64_t deadline_expired = 0;
-  /// Requests per dispatched batch: dispatched / batches (0 before the
-  /// first batch).
-  double mean_batch_size = 0.0;
   /// batch_size_hist[k] = batches dispatched with exactly k requests
   /// (index 0 unused; sized to the largest batch seen).
   std::vector<std::uint64_t> batch_size_hist;
+
+  DispatchCounters& operator+=(const DispatchCounters& o) {
+    admission.accepted += o.admission.accepted;
+    admission.rejected += o.admission.rejected;
+    admission.shed += o.admission.shed;
+    admission.completed += o.admission.completed;
+    admission.failed += o.admission.failed;
+    batches += o.batches;
+    dispatched += o.dispatched;
+    affinity_hits += o.affinity_hits;
+    affinity_misses += o.affinity_misses;
+    session_affinity_hits += o.session_affinity_hits;
+    session_affinity_misses += o.session_affinity_misses;
+    deadline_expired += o.deadline_expired;
+    if (batch_size_hist.size() < o.batch_size_hist.size()) {
+      batch_size_hist.resize(o.batch_size_hist.size(), 0);
+    }
+    for (std::size_t k = 0; k < o.batch_size_hist.size(); ++k) {
+      batch_size_hist[k] += o.batch_size_hist[k];
+    }
+    return *this;
+  }
+};
+
+struct ModelStats : DispatchCounters {
+  std::string model;
+  /// Requests currently waiting to be batched (instantaneous snapshot;
+  /// excludes requests already dispatched to a worker).
+  std::size_t queue_depth = 0;
+  /// This model's fraction of all dispatched requests across the server
+  /// (0 when nothing has been dispatched). Under saturation this converges
+  /// toward weight / sum(weights) — compare it against `weight` to see
+  /// whether a model is getting its configured share.
+  double dispatch_share = 0.0;
+  /// ModelConfig::weight echo, so dashboards can plot share vs. weight.
+  int weight = 1;
+  /// Requests per dispatched batch: dispatched / batches (0 before the
+  /// first batch).
+  double mean_batch_size = 0.0;
   /// End-to-end latency in microseconds, submit() to future fulfillment —
-  /// queueing and batching delay included (most recent
-  /// ServerOptions::latency_window samples).
+  /// queueing and batching delay included (most recent 65536 samples).
   LatencySummary latency;
   /// Execute-time latency in MICROSECONDS, exclusive of queueing and
   /// batching delay: the wall time of the executor call that produced each
@@ -120,7 +145,7 @@ struct SessionServingStats {
   /// Generated tokens per wall-clock second, summed over completed decode
   /// loops (prefill steps excluded from both numerator and denominator).
   double tokens_per_s = 0.0;
-  /// Per-token end-to-end latency (most recent window).
+  /// Per-token end-to-end latency (most recent 16384 tokens).
   LatencySummary token_latency;
   /// Session-affinity hit rate of the decode traffic, from the server's
   /// session_affinity counters: hits / (hits + misses); 0 before any
@@ -128,18 +153,10 @@ struct SessionServingStats {
   double affinity_hit_rate = 0.0;
 };
 
-struct ServerStats {
-  AdmissionCounters admission;  // request totals across models
+/// Server-wide totals: the DispatchCounters fields are sums over models.
+struct ServerStats : DispatchCounters {
   std::size_t queue_depth = 0;  // queued requests across models (snapshot)
-  std::uint64_t batches = 0;    // batches dispatched across models
-  std::uint64_t dispatched = 0; // requests dispatched across models
   double mean_batch_size = 0.0; // dispatched / batches (0 before any batch)
-  std::vector<std::uint64_t> batch_size_hist;  // summed across models
-  std::uint64_t affinity_hits = 0;    // batches, summed across models
-  std::uint64_t affinity_misses = 0;  // batches, summed across models
-  std::uint64_t session_affinity_hits = 0;    // keyed batches, across models
-  std::uint64_t session_affinity_misses = 0;  // keyed batches, across models
-  std::uint64_t deadline_expired = 0;  // requests, summed across models
   /// Live (dispatch-eligible) workers right now. Fixed at
   /// ServerOptions::workers unless the autoscaler is enabled.
   int current_workers = 0;
@@ -156,16 +173,6 @@ struct ServerStats {
   /// Tests use this to confirm the scheduler observed an advanced manual
   /// clock before asserting what the evaluation did (or did not) change.
   std::uint64_t autoscale_evals = 0;
-  /// Warm arena Executors dropped from parked workers' caches by the
-  /// AutoscalerOptions eviction policy (evict_after / max_warm_bytes) since
-  /// start/reset_stats(). Each eviction is one executor on one worker; the
-  /// next dispatch of that model to that worker rebuilds it (an affinity
-  /// miss), with bit-identical logits after the re-warm.
-  std::uint64_t evicted_executors = 0;
-  /// Arena bytes currently held by worker executor caches, across all
-  /// workers (instantaneous snapshot) — what the max_warm_bytes budget
-  /// bounds.
-  std::size_t warm_bytes = 0;
   LatencySummary latency;          // microseconds, across all models
   /// Execute-time latency across all models (see ModelStats::exec_latency).
   LatencySummary exec_latency;

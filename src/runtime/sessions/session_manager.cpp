@@ -11,6 +11,9 @@ namespace bswp::runtime {
 
 namespace {
 
+/// Per-token latency samples retained manager-wide and per session.
+constexpr std::size_t kTokenLatencyWindow = 1 << 14;
+
 double micros_between(Clock::time_point t0, Clock::time_point t1) {
   return std::chrono::duration<double, std::micro>(t1 - t0).count();
 }
@@ -21,7 +24,7 @@ SessionManager::SessionManager(InferenceServer& server, const SessionManagerOpti
     : server_(server),
       options_(options),
       clock_(options.clock != nullptr ? options.clock : &steady_clock_ref()),
-      token_latency_(options.token_latency_window) {
+      token_latency_(kTokenLatencyWindow) {
   check(options_.max_sessions >= 1, "SessionManager: max_sessions must be >= 1");
   check(options_.token_deadline.count() >= 0, "SessionManager: token_deadline must be >= 0");
   check(options_.session_ttl.count() >= 0, "SessionManager: session_ttl must be >= 0");
@@ -52,7 +55,7 @@ SessionId SessionManager::open_session(const std::string& model_id) {
   check(sessions_.size() < options_.max_sessions,
         "SessionManager::open_session: max_sessions reached");
   const SessionId id = next_id_++;
-  auto rec = std::make_unique<SessionRec>(options_.token_latency_window);
+  auto rec = std::make_unique<SessionRec>(kTokenLatencyWindow);
   rec->id = id;
   rec->model = model_id;
   rec->lm = lm->second;

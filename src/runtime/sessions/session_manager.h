@@ -75,8 +75,6 @@ struct SessionManagerOptions {
   std::chrono::milliseconds session_ttl{0};
   /// open_session() throws once this many sessions are open.
   std::size_t max_sessions = 1024;
-  /// Retained per-token latency samples, manager-wide and per session.
-  std::size_t token_latency_window = 1 << 14;
   /// Time source for TTL expiry and decode timing (null = the process
   /// steady clock). Borrowed; must outlive the manager. Tests inject a
   /// ManualClock here (usually the same one as ServerOptions::clock) so
@@ -112,7 +110,7 @@ struct SessionStats {
   std::uint64_t tokens = 0;
   std::uint64_t deadline_misses = 0;
   double tokens_per_s = 0.0;        // lifetime decode throughput
-  LatencySummary token_latency;     // microseconds, most recent window
+  LatencySummary token_latency;     // microseconds, most recent 16384 tokens
 };
 
 /// Serves registered token LMs as stateful sessions over a borrowed

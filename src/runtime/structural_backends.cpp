@@ -22,24 +22,7 @@ class InputBackend : public KernelBackend {
   static void run_one(const ExecContext& ctx) {
     check(ctx.image != nullptr, "engine: input plan executed without an image");
     const Tensor& img = *ctx.image;
-    int c = 0, h = 0, w = 0;
-    if (img.rank() == 3) {
-      c = img.dim(0);
-      h = img.dim(1);
-      w = img.dim(2);
-    } else {
-      check(img.rank() == 4 && img.dim(0) == 1, "engine: input must be a single CHW image");
-      c = img.dim(1);
-      h = img.dim(2);
-      w = img.dim(3);
-    }
-    const std::vector<int>& want = ctx.plan.out_chw;
-    if (want.size() == 3 && (c != want[0] || h != want[1] || w != want[2])) {
-      throw std::invalid_argument(
-          "engine: input image shape " + std::to_string(c) + "x" + std::to_string(h) + "x" +
-          std::to_string(w) + " does not match the network input " + std::to_string(want[0]) +
-          "x" + std::to_string(want[1]) + "x" + std::to_string(want[2]));
-    }
+    const auto [c, h, w] = check_input_image(img, ctx.plan.out_chw);
     kernels::QView& out = *ctx.out;
     out.set_shape({1, c, h, w});
     out.bits = 8;
@@ -92,6 +75,23 @@ class ReluBackend : public KernelBackend {
 };
 
 }  // namespace
+
+std::array<int, 3> check_input_image(const Tensor& img, const std::vector<int>& want) {
+  std::array<int, 3> chw{};
+  if (img.rank() == 3) {
+    chw = {img.dim(0), img.dim(1), img.dim(2)};
+  } else {
+    check(img.rank() == 4 && img.dim(0) == 1, "engine: input must be a single CHW image");
+    chw = {img.dim(1), img.dim(2), img.dim(3)};
+  }
+  if (want.size() == 3 && (chw[0] != want[0] || chw[1] != want[1] || chw[2] != want[2])) {
+    throw std::invalid_argument(
+        "engine: input image shape " + std::to_string(chw[0]) + "x" + std::to_string(chw[1]) +
+        "x" + std::to_string(chw[2]) + " does not match the network input " +
+        std::to_string(want[0]) + "x" + std::to_string(want[1]) + "x" + std::to_string(want[2]));
+  }
+  return chw;
+}
 
 namespace detail {
 

@@ -3,7 +3,8 @@
 // cache bit-identity + LRU eviction + capacity-0 disable, cluster-served
 // results bit-identical to Session::run under a concurrent multi-client
 // storm, failover under an induced mid-run shard outage (every accepted
-// future resolves), kFailFast refusal semantics, and cross-shard stats
+// future resolves), the circuit breaker's trip/probe/recover cycle on a
+// manual clock, the all-shards-down refusal, and cross-shard stats
 // aggregation (merged latency windows, dispatch shares). Everything here
 // also runs under the TSan CI job — this suite is the concurrency contract
 // of the cluster layer, the way test_server.cpp is for one shard.
@@ -22,6 +23,7 @@
 #include "api/bswp.h"
 #include "core/rng.h"
 #include "models/zoo.h"
+#include "runtime/clock.h"
 #include "runtime/frontdoor/hash_ring.h"
 #include "runtime/frontdoor/result_cache.h"
 #include "runtime/pipeline.h"
@@ -236,12 +238,10 @@ SmallModel& small_model() {
   return m;
 }
 
-FrontDoorOptions quick_options(int shards, std::size_t cache_capacity = 0,
-                               HealthPolicy health = HealthPolicy::kFailover) {
+FrontDoorOptions quick_options(int shards, std::size_t cache_capacity = 0) {
   FrontDoorOptions fo;
   fo.shards = shards;
   fo.cache_capacity = cache_capacity;
-  fo.health = health;
   fo.server.workers = 1;
   fo.server.batching.max_batch = 4;
   fo.server.batching.max_delay = 300us;
@@ -263,9 +263,6 @@ bool same_bits(const QTensor& a, const QTensor& b) {
 TEST(FrontDoor, ValidatesOptions) {
   FrontDoorOptions bad = quick_options(2);
   bad.shards = 0;
-  EXPECT_THROW(FrontDoor{bad}, std::invalid_argument);
-  bad = quick_options(2);
-  bad.vnodes_per_shard = 0;
   EXPECT_THROW(FrontDoor{bad}, std::invalid_argument);
   bad = quick_options(2);
   bad.breaker.unhealthy_after = 0;
@@ -359,8 +356,7 @@ TEST(FrontDoor, PlacementIsDeterministicAndSpread) {
 
 TEST(FrontDoor, FailoverLosesNoAcceptedRequestWhenShardDiesMidRun) {
   SmallModel& m = small_model();
-  FrontDoor door(quick_options(/*shards=*/4, /*cache_capacity=*/0,
-                               HealthPolicy::kFailover));
+  FrontDoor door(quick_options(/*shards=*/4));
   door.register_model("resnet-s", m.session.network());
 
   // Pick a victim that definitely owns traffic in this stream.
@@ -409,7 +405,7 @@ TEST(FrontDoor, RepeatedFailoverThenDrainLeavesNoFutureUnresolved) {
   constexpr int kRounds = 4, kDrainsPerRound = 200;
   int unresolved = 0;
   for (int round = 0; round < kRounds; ++round) {
-    FrontDoor door(quick_options(/*shards=*/2, /*cache_capacity=*/0, HealthPolicy::kFailover));
+    FrontDoor door(quick_options(/*shards=*/2));
     door.register_model("resnet-s", m.session.network());
     const int victim = door.shard_for("resnet-s", m.images[0]);
     for (int d = 0; d < kDrainsPerRound; ++d) {
@@ -428,45 +424,98 @@ TEST(FrontDoor, RepeatedFailoverThenDrainLeavesNoFutureUnresolved) {
                            << " drain() calls";
 }
 
-TEST(FrontDoor, FailFastRefusesOnlyTheDeadOwnersKeys) {
+TEST(FrontDoor, BreakerTripsProbesAndRecoversOnTheManualClock) {
+  // One shard whose queue holds a single request that never batches on its
+  // own (max_batch 2 > capacity 1, a batching window virtual time never
+  // reaches): every further submit is a kReject rejection, a shard fault.
+  // drain() flushes the queue, so each phase resolves deterministically.
   SmallModel& m = small_model();
-  FrontDoor door(quick_options(/*shards=*/2, /*cache_capacity=*/0,
-                               HealthPolicy::kFailFast));
+  ManualClock clock;
+  FrontDoorOptions fo = quick_options(/*shards=*/1);
+  fo.server.clock = &clock;
+  fo.server.batching.max_batch = 2;
+  fo.server.batching.max_delay = 1h;
+  fo.server.queue.capacity = 1;
+  fo.server.queue.policy = QueuePolicy::kReject;
+  fo.breaker.unhealthy_after = 2;
+  fo.breaker.healthy_after = 2;
+  fo.breaker.cooldown = 10ms;
+  FrontDoor door(fo);
   door.register_model("resnet-s", m.session.network());
-
-  // Find one image owned by each shard.
-  int owned_by_dead = -1, owned_by_live = -1;
-  const int victim = door.shard_for("resnet-s", m.images[0]);
-  for (std::size_t i = 0; i < m.images.size(); ++i) {
-    const int s = door.shard_for("resnet-s", m.images[i]);
-    if (s == victim) {
-      owned_by_dead = static_cast<int>(i);
-    } else {
-      owned_by_live = static_cast<int>(i);
+  const auto expect_rejected = [](std::future<QTensor>& f, ServerRejected::Reason reason) {
+    try {
+      f.get();
+      ADD_FAILURE() << "expected ServerRejected";
+    } catch (const ServerRejected& e) {
+      EXPECT_EQ(e.reason(), reason);
     }
-  }
-  ASSERT_GE(owned_by_dead, 0);
-  ASSERT_GE(owned_by_live, 0);
+  };
 
-  door.stop_shard(victim);
+  // healthy -> unhealthy: two consecutive shard rejections open the breaker.
+  auto queued = door.submit("resnet-s", m.images[0]);
+  auto rejected1 = door.submit("resnet-s", m.images[1]);
+  auto rejected2 = door.submit("resnet-s", m.images[2]);
+  door.drain();
+  EXPECT_TRUE(same_bits(queued.get(), m.refs[0]));
+  expect_rejected(rejected1, ServerRejected::Reason::kQueueFull);
+  expect_rejected(rejected2, ServerRejected::Reason::kQueueFull);
+  ClusterStats s = door.stats();
+  EXPECT_EQ(s.shard_stats[0].health, ShardHealth::kUnhealthy);
+  EXPECT_EQ(s.shard_stats[0].failures, 2u);
+  EXPECT_EQ(s.shard_stats[0].breaker_trips, 1u);
+  EXPECT_EQ(s.ring_rebalances, 1u);
+  EXPECT_EQ(s.healthy_shards, 0);
 
-  // The dead owner's keys fail fast with kUnhealthy...
-  auto refused =
-      door.submit("resnet-s", m.images[static_cast<std::size_t>(owned_by_dead)]);
+  // While the cooldown runs in virtual time, the open breaker refuses.
+  auto refused = door.submit("resnet-s", m.images[3]);
+  expect_rejected(refused, ServerRejected::Reason::kUnhealthy);
+
+  // unhealthy -> probing: the next route after the cooldown re-admits it.
+  clock.advance(10ms);
+  auto probe1 = door.submit("resnet-s", m.images[4]);
+  s = door.stats();
+  EXPECT_EQ(s.shard_stats[0].health, ShardHealth::kProbing);
+  EXPECT_EQ(s.ring_rebalances, 2u);
+  EXPECT_EQ(s.healthy_shards, 1);
+  door.drain();
+  EXPECT_TRUE(same_bits(probe1.get(), m.refs[4]));
+  EXPECT_EQ(door.stats().shard_stats[0].health, ShardHealth::kProbing);
+
+  // probing -> healthy: the second consecutive success closes the breaker.
+  auto probe2 = door.submit("resnet-s", m.images[5]);
+  door.drain();
+  EXPECT_TRUE(same_bits(probe2.get(), m.refs[5]));
+  s = door.stats();
+  EXPECT_EQ(s.shard_stats[0].health, ShardHealth::kHealthy);
+  EXPECT_EQ(s.shard_stats[0].breaker_trips, 1u);
+  EXPECT_EQ(s.shard_stats[0].breaker_recoveries, 1u);
+  EXPECT_EQ(s.ring_rebalances, 2u);  // probing was already routable
+  EXPECT_EQ(s.submitted, 6u);
+  EXPECT_EQ(s.completed, 3u);
+  EXPECT_EQ(s.failed, 3u);
+  EXPECT_EQ(s.failovers, 0u);  // one shard: nothing to fail over to
+}
+
+TEST(FrontDoor, EveryShardStoppedRefusesAsUnhealthy) {
+  SmallModel& m = small_model();
+  FrontDoor door(quick_options(/*shards=*/2));
+  door.register_model("resnet-s", m.session.network());
+  door.stop_shard(0);
+  door.stop_shard(1);
+  auto refused = door.submit("resnet-s", m.images[0]);
+  ASSERT_EQ(refused.wait_for(0s), std::future_status::ready);  // refused in submit
   try {
     refused.get();
     FAIL() << "expected ServerRejected";
   } catch (const ServerRejected& e) {
     EXPECT_EQ(e.reason(), ServerRejected::Reason::kUnhealthy);
   }
-  // ...while the live shard's keys still complete bit-identically.
-  EXPECT_TRUE(same_bits(
-      door.submit("resnet-s", m.images[static_cast<std::size_t>(owned_by_live)])
-          .get(),
-      m.refs[static_cast<std::size_t>(owned_by_live)]));
   const ClusterStats s = door.stats();
+  EXPECT_EQ(s.submitted, 1u);
   EXPECT_EQ(s.failed, 1u);
-  EXPECT_EQ(s.failovers, 0u);  // kFailFast never retries
+  EXPECT_EQ(s.completed, 0u);
+  EXPECT_EQ(s.healthy_shards, 0);
+  for (const ShardStats& ss : s.shard_stats) EXPECT_EQ(ss.routed, 0u);
 }
 
 TEST(FrontDoor, UnknownModelIsAClientErrorNotAShardFault) {

@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <functional>
 #include <memory>
 #include <sstream>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -188,6 +190,38 @@ TEST(Serialize, RejectsStructuralCorruptions) {
     mutate(bad);
     std::stringstream buf;
     save_network(bad, buf);
+    EXPECT_THROW(load_network(buf), std::runtime_error) << what;
+  }
+
+  // Length fields: a count that runs past the end of the container is
+  // refused before anything is allocated for it. Unchecked, the flipped
+  // high byte of the LUT entry count asks for about 17 GB (std::bad_alloc,
+  // an ASan abort, or an OOM kill instead of a typed error).
+  std::stringstream good;
+  save_network(e.net, good);
+  const std::string bytes = good.str();
+  ASSERT_TRUE(e.net.has_lut);
+  // magic, version, act_bits, input_scale (4 bytes each), has_lut (1), six
+  // 4-byte LUT fields, then the uint64 entry count.
+  const std::size_t lut_count_at = 4 * 4 + 1 + 6 * 4;
+  // The entries, the uint32 plan count and the first plan's int32 kind come
+  // before that plan's uint32 name length.
+  const std::size_t name_len_at =
+      lut_count_at + 8 + e.net.lut.entries.size() * sizeof(int32_t) + 4 + 4;
+  uint64_t lut_count = 0;
+  uint32_t name_len = 0;
+  std::memcpy(&lut_count, bytes.data() + lut_count_at, sizeof(lut_count));
+  std::memcpy(&name_len, bytes.data() + name_len_at, sizeof(name_len));
+  ASSERT_EQ(lut_count, e.net.lut.entries.size());
+  ASSERT_EQ(name_len, e.net.plans[0].name.size());
+  const std::vector<std::tuple<const char*, std::size_t, char>> length_flips = {
+      {"LUT entry count + 0xFF000000", lut_count_at + 3, static_cast<char>(0xFF)},
+      {"plan name length + 0x0F0000", name_len_at + 2, static_cast<char>(0x0F)},
+  };
+  for (const auto& [what, at, value] : length_flips) {
+    std::string bad = bytes;
+    bad[at] = value;
+    std::stringstream buf(bad);
     EXPECT_THROW(load_network(buf), std::runtime_error) << what;
   }
 }

@@ -668,180 +668,6 @@ TEST(InferenceServer, AutoscalerGrowsOnBacklogShrinksWhenIdleWithHysteresis) {
   EXPECT_EQ(settled.current_workers, 1);
 }
 
-TEST(InferenceServer, AutoscalerLatencySignalDoesNotPinIdlePool) {
-  SmallModel& m = small_model();
-  ManualClock clock;
-  // The latency EWMA only moves when batches complete, so after traffic
-  // stops it freezes at the last burst's (high) value. The signal must be
-  // gated on a non-empty queue: an idle pool holding a stale EWMA above
-  // up_latency_us has to shrink back to min_workers, not stay scaled up.
-  ServerOptions so = quick_options(/*workers=*/1, /*max_batch=*/1, 0us, /*capacity=*/1024,
-                                   QueuePolicy::kBlock);
-  so.clock = &clock;
-  so.autoscaler.enabled = true;
-  so.autoscaler.min_workers = 1;
-  so.autoscaler.max_workers = 3;
-  so.autoscaler.interval = 1ms;
-  so.autoscaler.up_queue_per_worker = 1e9;  // queue-depth signal never trips
-  so.autoscaler.up_latency_us = 1.0;        // any aged completion trips this
-  so.autoscaler.up_consecutive = 2;
-  so.autoscaler.down_consecutive = 3;
-  so.autoscaler.cooldown = 0ms;
-  InferenceServer server(so);
-  server.register_model("m", m.session.network());
-
-  // Age the backlog in virtual time: requests queue behind the busy pool
-  // while the clock advances between submits, so completions record
-  // milliseconds of virtual end-to-end latency and push the EWMA far above
-  // the 1 us threshold while the queue is non-empty.
-  std::vector<std::future<QTensor>> futs;
-  for (int i = 0; i < 64; ++i) {
-    futs.push_back(server.submit("m", m.images[static_cast<std::size_t>(i) % m.images.size()]));
-    clock.advance(1ms);
-  }
-  ASSERT_TRUE(eventually([&] {
-    if (server.worker_count() == 3) return true;
-    clock.advance(1ms);  // keep evaluations coming while the burst drains
-    return false;
-  })) << "latency signal never grew the pool while requests were queued";
-  server.drain();
-  for (std::size_t i = 0; i < futs.size(); ++i) {
-    EXPECT_EQ(futs[i].get().data, m.refs[i % m.refs.size()].data);
-  }
-  ASSERT_TRUE(eventually([&] {
-    if (server.worker_count() == 1) return true;
-    clock.advance(1ms);
-    return false;
-  })) << "stale latency EWMA pinned the idle pool above min_workers";
-}
-
-// --- executor-cache eviction -------------------------------------------------
-
-TEST(InferenceServer, AutoscalerEvictsParkedExecutorsAndRewarmsBitIdentical) {
-  SmallModel& m = small_model();
-  ManualClock clock;
-  ServerOptions so = quick_options(/*workers=*/1, /*max_batch=*/1, 0us, /*capacity=*/1024,
-                                   QueuePolicy::kBlock);
-  so.clock = &clock;
-  so.autoscaler.enabled = true;
-  so.autoscaler.min_workers = 1;
-  so.autoscaler.max_workers = 2;
-  so.autoscaler.interval = 1ms;
-  so.autoscaler.up_queue_per_worker = 1.0;
-  so.autoscaler.up_consecutive = 1;
-  so.autoscaler.down_consecutive = 1;
-  so.autoscaler.cooldown = 0ms;
-  so.autoscaler.evict_after = 3ms;
-  InferenceServer server(so);
-  server.register_model("m", m.session.network());
-
-  // Phase 1: backlog scales to two workers; both serve and build executors.
-  std::vector<std::future<QTensor>> futs;
-  for (int i = 0; i < 32; ++i) {
-    futs.push_back(server.submit("m", m.images[static_cast<std::size_t>(i) % m.images.size()]));
-  }
-  ASSERT_TRUE(eventually([&] {
-    if (server.model_stats("m").affinity_misses >= 2) return true;  // both built
-    clock.advance(1ms);
-    return false;
-  })) << "the second worker never scaled up and served";
-  server.drain();
-  for (std::size_t i = 0; i < futs.size(); ++i) {
-    EXPECT_EQ(futs[i].get().data, m.refs[i % m.refs.size()].data);
-  }
-  const ServerStats warm = server.stats();
-  EXPECT_EQ(warm.evicted_executors, 0u);
-  EXPECT_GT(warm.warm_bytes, 0u);
-
-  // Phase 2: idle evaluations shrink the pool, and once the parked worker
-  // has sat past evict_after in virtual time, a later evaluation reclaims
-  // its executor. The live worker's cache is never touched.
-  const std::size_t warm_before = warm.warm_bytes;  // both arenas, pre-advance
-  ASSERT_TRUE(eventually([&] {
-    if (server.stats().evicted_executors >= 1) return true;
-    clock.advance(1ms);
-    return false;
-  })) << "parked worker's executor was never evicted";
-  const ServerStats evicted = server.stats();
-  EXPECT_EQ(evicted.evicted_executors, 1u);  // the parked worker, nothing else
-  EXPECT_EQ(evicted.current_workers, 1);     // eviction implies it was parked
-  EXPECT_LT(evicted.warm_bytes, warm_before);
-  EXPECT_GT(evicted.warm_bytes, 0u);  // the live worker keeps its arena
-
-  // Phase 3: re-warm. New backlog scales back up; the evicted worker
-  // rebuilds (one more affinity miss) and serves bit-identical logits. Each
-  // step submits a burst, so a backlog (> 1 queued per live worker) forms
-  // whether or not the live worker happens to keep up with one request per
-  // step.
-  std::vector<std::future<QTensor>> futs3;
-  std::size_t next = 0;
-  ASSERT_TRUE(eventually([&] {
-    if (server.model_stats("m").affinity_misses >= 3) return true;  // rebuilt
-    for (int k = 0; k < 4; ++k) {
-      futs3.push_back(server.submit("m", m.images[next % m.images.size()]));
-      ++next;
-    }
-    clock.advance(1ms);
-    return false;
-  })) << "the evicted worker never re-warmed";
-  server.drain();
-  for (std::size_t i = 0; i < futs3.size(); ++i) {
-    EXPECT_EQ(futs3[i].get().data, m.refs[i % m.refs.size()].data)
-        << "re-warmed executor diverged from the reference at request " << i;
-  }
-  EXPECT_GT(server.stats().warm_bytes, evicted.warm_bytes);
-}
-
-TEST(InferenceServer, WarmBytesBudgetEvictsParkedWorkersButNeverLiveOnes) {
-  SmallModel& m = small_model();
-  ManualClock clock;
-  ServerOptions so = quick_options(/*workers=*/1, /*max_batch=*/1, 0us, /*capacity=*/1024,
-                                   QueuePolicy::kBlock);
-  so.clock = &clock;
-  so.autoscaler.enabled = true;
-  so.autoscaler.min_workers = 1;
-  so.autoscaler.max_workers = 2;
-  so.autoscaler.interval = 1ms;
-  so.autoscaler.up_queue_per_worker = 1.0;
-  so.autoscaler.up_consecutive = 1;
-  so.autoscaler.down_consecutive = 1;
-  so.autoscaler.cooldown = 0ms;
-  so.autoscaler.max_warm_bytes = 1;  // any parked warm worker is over budget
-  InferenceServer server(so);
-  server.register_model("m", m.session.network());
-
-  std::vector<std::future<QTensor>> futs;
-  for (int i = 0; i < 32; ++i) {
-    futs.push_back(server.submit("m", m.images[static_cast<std::size_t>(i) % m.images.size()]));
-  }
-  ASSERT_TRUE(eventually([&] {
-    if (server.model_stats("m").affinity_misses >= 2) return true;
-    clock.advance(1ms);
-    return false;
-  })) << "the second worker never scaled up and served";
-  server.drain();
-  for (std::size_t i = 0; i < futs.size(); ++i) {
-    EXPECT_EQ(futs[i].get().data, m.refs[i % m.refs.size()].data);
-  }
-
-  // While both workers are live the budget has no parked candidates: the
-  // pool stays over budget rather than evicting a live cache.
-  EXPECT_EQ(server.stats().evicted_executors, 0u);
-
-  // The moment one worker parks, the budget reclaims its cache — but only
-  // its cache: the live worker stays warm even though it alone still
-  // exceeds the 1-byte budget (live caches are never reclaimed).
-  ASSERT_TRUE(eventually([&] {
-    if (server.stats().evicted_executors >= 1) return true;
-    clock.advance(1ms);
-    return false;
-  })) << "budget never evicted the parked worker";
-  const ServerStats s = server.stats();
-  EXPECT_EQ(s.evicted_executors, 1u);
-  EXPECT_GT(s.warm_bytes, 0u);
-  EXPECT_EQ(s.current_workers, 1);
-}
-
 // --- execution-aware shedding ------------------------------------------------
 
 TEST(InferenceServer, SheddingStormNeverYieldsPartialResultsAndKeepsBitIdentity) {

@@ -1,6 +1,7 @@
 #include "runtime/frontdoor/front_door.h"
 
 #include <chrono>
+#include <exception>
 #include <stdexcept>
 #include <utility>
 
@@ -19,6 +20,9 @@ constexpr int kVnodesPerShard = 64;
 /// never average per-shard percentiles.
 constexpr std::size_t kLatencyWindow = 1 << 16;
 
+/// A shard the ring may route to: healthy, or probing after a cooldown.
+bool routable(ShardHealth h) { return h == ShardHealth::kHealthy || h == ShardHealth::kProbing; }
+
 double elapsed_us(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double, std::micro>(to - from).count();
 }
@@ -26,15 +30,14 @@ double elapsed_us(Clock::time_point from, Clock::time_point to) {
 }  // namespace
 
 // One accepted request from submit() until its front-door future resolves.
-// Lives in exactly one shard's pending deque at a time; a failover retry
-// moves it (with a fresh shard future) to the next live shard's deque.
+// Shared with the completion of the shard that holds it; a failover hands
+// it to the next live shard's completion.
 struct FrontDoor::Pending {
   RequestKey key;
   std::string model_id;
-  Tensor image;  // retained for a mid-flight retry on another shard
+  Tensor image;  // retained for a failover retry on another shard
   RequestClass cls = RequestClass::kNormal;
   std::promise<QTensor> promise;
-  std::future<QTensor> shard_future;
   Clock::time_point arrival;
   int owner = 0;            // ring owner ignoring health (takeover metric)
   std::vector<int> tried;   // shards that already failed this request
@@ -45,11 +48,8 @@ struct FrontDoor::ShardState {
       : server(std::make_unique<InferenceServer>(opts)), latency(kLatencyWindow) {}
 
   std::unique_ptr<InferenceServer> server;
-  std::thread forwarder;
 
   // --- guarded by FrontDoor::mu_ ---
-  std::condition_variable cv;   // wakes this shard's forwarder
-  std::deque<Pending> pending;  // FIFO: head-of-line wait order == submit order
   ShardHealth health = ShardHealth::kHealthy;
   int fail_streak = 0;          // consecutive shard faults while healthy
   int ok_streak = 0;            // consecutive successes while probing
@@ -81,10 +81,6 @@ FrontDoor::FrontDoor(const FrontDoorOptions& options)
   for (int s = 0; s < options.shards; ++s) {
     shards_.push_back(std::make_unique<ShardState>(options.server));
   }
-  for (int s = 0; s < options.shards; ++s) {
-    shards_[static_cast<std::size_t>(s)]->forwarder =
-        std::thread(&FrontDoor::forwarder_main, this, s);
-  }
 }
 
 FrontDoor::~FrontDoor() { shutdown(); }
@@ -110,16 +106,14 @@ std::future<QTensor> FrontDoor::submit(const std::string& model_id,
   auto hit = cache_.get(key);
 
   std::unique_lock<std::mutex> lock(mu_);
+  ++submitted_;
   if (!accepting_) {
-    ++submitted_;
     ++failed_;
     lock.unlock();
     promise.set_exception(std::make_exception_ptr(ServerRejected(
         ServerRejected::Reason::kShutdown, "FrontDoor: shutting down")));
     return future;
   }
-  ++submitted_;
-
   if (hit) {
     ++completed_;
     lock.unlock();
@@ -130,153 +124,117 @@ std::future<QTensor> FrontDoor::submit(const std::string& model_id,
     promise.set_value(std::move(*hit));
     return future;
   }
-
-  static const std::vector<int> kNothingTried;
-  const int target = route_locked(key.lo, arrival, kNothingTried);
-  if (target < 0) {
-    ++failed_;
-    lock.unlock();
-    promise.set_exception(std::make_exception_ptr(
-        ServerRejected(ServerRejected::Reason::kUnhealthy, "FrontDoor: no routable shard")));
-    return future;
-  }
-  ShardState& st = *shards_[static_cast<std::size_t>(target)];
-  const int owner = ring_.shard_for(key.lo);
-  ++st.routed;
-  if (target != owner) ++st.takeovers;
+  // Pending before any shard sees it: the shard may settle it (and a
+  // failover may resolve it) before its submit returns.
+  ++pending_total_;
   lock.unlock();
 
-  // Shard admission outside mu_: a QueuePolicy::kBlock submit may wait for
-  // queue space, and no router state should be pinned meanwhile. The
-  // shard gets a copy; the original stays for a mid-flight retry.
-  std::future<QTensor> shard_future;
-  try {
-    shard_future = st.server->submit(model_id, Tensor(image), cls);
-  } catch (...) {
-    // Synchronous admission throw (unknown model id): a client error — it
-    // would fail identically on every shard, so no breaker, no failover.
-    lock.lock();
-    ++failed_;
-    lock.unlock();
-    promise.set_exception(std::current_exception());
-    return future;
-  }
-
-  Pending p;
-  p.key = key;
-  p.model_id = model_id;
-  p.image = std::move(image);
-  p.cls = cls;
-  p.promise = std::move(promise);
-  p.shard_future = std::move(shard_future);
-  p.arrival = arrival;
-  p.owner = owner;
-
-  lock.lock();
-  st.pending.push_back(std::move(p));
-  ++pending_total_;
-  st.cv.notify_one();
+  auto p = std::make_shared<Pending>();
+  p->key = key;
+  p->model_id = model_id;
+  p->image = std::move(image);
+  p->cls = cls;
+  p->promise = std::move(promise);
+  p->arrival = arrival;
+  p->owner = ring_.shard_for(key.lo);
+  forward(std::move(p), nullptr);
   return future;
 }
 
-void FrontDoor::forwarder_main(int sid) {
-  ShardState& st = *shards_[static_cast<std::size_t>(sid)];
+void FrontDoor::forward(std::shared_ptr<Pending> p, std::exception_ptr fault) {
   std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    st.cv.wait(lock, [&] { return stop_forwarders_ || !st.pending.empty(); });
-    if (st.pending.empty()) {
-      if (stop_forwarders_) return;
-      continue;
-    }
-    Pending p = std::move(st.pending.front());
-    st.pending.pop_front();
+  const int target = route_locked(p->key.lo, clock_->now(), p->tried);
+  if (target < 0) {
+    ++failed_;
     lock.unlock();
-
-    // Wait for the shard outside every lock; classify the outcome.
-    QTensor result;
-    bool ok = false;
-    bool shard_stopped = false;
-    std::exception_ptr shard_fault;  // rejection: breaker + failover
-    std::exception_ptr client_error; // would fail on any shard: propagate
-    try {
-      result = p.shard_future.get();
-      ok = true;
-    } catch (const ServerRejected& e) {
-      shard_stopped = e.reason() == ServerRejected::Reason::kShutdown;
-      shard_fault = std::current_exception();
-    } catch (...) {
-      client_error = std::current_exception();
+    if (fault == nullptr) {
+      fault = std::make_exception_ptr(
+          ServerRejected(ServerRejected::Reason::kUnhealthy, "FrontDoor: no routable shard"));
     }
-    const Clock::time_point now = clock_->now();
+    resolve(*p, QTensor{}, std::move(fault));
+    return;
+  }
+  ShardState& st = *shards_[static_cast<std::size_t>(target)];
+  ++st.routed;
+  if (target != p->owner) ++st.takeovers;
+  if (fault != nullptr) ++failovers_;
+  lock.unlock();
 
-    if (ok) {
-      cache_.put(p.key, result);
-      {
-        std::lock_guard<std::mutex> slock(stats_mu_);
-        st.latency.record(elapsed_us(p.arrival, now));
-      }
-      lock.lock();
+  // Shard admission outside mu_: a QueuePolicy::kBlock submit may wait for
+  // queue space, and the shard may run the completion before it returns.
+  // The shard gets a copy; the original stays for a failover retry.
+  SubmitOptions so;
+  so.cls = p->cls;
+  try {
+    st.server->submit(p->model_id, Tensor(p->image), so,
+                      [this, p, target](QTensor logits, std::exception_ptr error) {
+                        on_shard_done(p, target, std::move(logits), std::move(error));
+                      });
+  } catch (...) {
+    // Synchronous admission throw (unknown model id): not a ServerRejected,
+    // so a client error — no breaker, no failover.
+    on_shard_done(std::move(p), target, QTensor{}, std::current_exception());
+  }
+  lock.lock();
+  ++shard_submits_;
+  drain_cv_.notify_all();
+}
+
+void FrontDoor::on_shard_done(std::shared_ptr<Pending> p, int sid, QTensor logits,
+                              std::exception_ptr error) {
+  ShardState& st = *shards_[static_cast<std::size_t>(sid)];
+  const Clock::time_point now = clock_->now();
+  if (error == nullptr) {
+    cache_.put(p->key, logits);
+    {
+      std::lock_guard<std::mutex> slock(stats_mu_);
+      st.latency.record(elapsed_us(p->arrival, now));
+    }
+    {
+      std::lock_guard<std::mutex> lock(mu_);
       ++completed_;
       breaker_success_locked(st);
-      lock.unlock();
-      p.promise.set_value(std::move(result));
-      lock.lock();
-      pending_done_locked();
-      continue;
     }
-
-    if (client_error) {
-      lock.lock();
-      ++failed_;
-      lock.unlock();
-      p.promise.set_exception(client_error);
-      lock.lock();
-      pending_done_locked();
-      continue;
-    }
-
-    // Shard fault: feed the breaker, then retry on the next live shard, or
-    // give the caller the shard's error when none is left.
-    lock.lock();
-    ++st.failures;
-    breaker_failure_locked(st, shard_stopped, now);
-    p.tried.push_back(sid);
-    const int next = route_locked(p.key.lo, now, p.tried);
-    if (next < 0) {
-      ++failed_;
-      lock.unlock();
-      p.promise.set_exception(shard_fault);
-      lock.lock();
-      pending_done_locked();
-      continue;
-    }
-    ShardState& nst = *shards_[static_cast<std::size_t>(next)];
-    ++failovers_;
-    ++nst.routed;
-    if (next != p.owner) ++nst.takeovers;
-    lock.unlock();
-    std::future<QTensor> retry_future;
-    bool resubmitted = false;
-    try {
-      retry_future = nst.server->submit(p.model_id, Tensor(p.image), p.cls);
-      resubmitted = true;
-    } catch (...) {
-      client_error = std::current_exception();
-    }
-    lock.lock();
-    if (resubmitted) {
-      p.shard_future = std::move(retry_future);
-      // pending_total_ is unchanged: the request never left the pipeline.
-      nst.pending.push_back(std::move(p));
-      nst.cv.notify_one();
-    } else {
-      ++failed_;
-      lock.unlock();
-      p.promise.set_exception(client_error);
-      lock.lock();
-      pending_done_locked();
-    }
+    resolve(*p, std::move(logits), nullptr);
+    return;
   }
+
+  // A ServerRejected is a shard fault: feed the breaker and retry on the
+  // next live shard (forward() gives the caller this error when none is
+  // left). Anything else would fail on any shard: propagate it.
+  bool shard_fault = false;
+  bool shard_stopped = false;
+  try {
+    std::rethrow_exception(error);
+  } catch (const ServerRejected& e) {
+    shard_fault = true;
+    shard_stopped = e.reason() == ServerRejected::Reason::kShutdown;
+  } catch (...) {
+  }
+  std::unique_lock<std::mutex> lock(mu_);
+  if (!shard_fault) {
+    ++failed_;
+    lock.unlock();
+    resolve(*p, QTensor{}, std::move(error));
+    return;
+  }
+  ++st.failures;
+  breaker_failure_locked(st, shard_stopped, now);
+  p->tried.push_back(sid);
+  lock.unlock();
+  forward(std::move(p), std::move(error));
+}
+
+void FrontDoor::resolve(Pending& p, QTensor logits, std::exception_ptr error) {
+  if (error != nullptr) {
+    p.promise.set_exception(std::move(error));
+  } else {
+    p.promise.set_value(std::move(logits));
+  }
+  // Retired only after the promise is set: drain() returns on a zero count,
+  // and every accepted future must be ready by then.
+  std::lock_guard<std::mutex> lock(mu_);
+  if (--pending_total_ == 0) drain_cv_.notify_all();
 }
 
 int FrontDoor::route_locked(std::uint64_t key, Clock::time_point now,
@@ -292,22 +250,12 @@ int FrontDoor::route_locked(std::uint64_t key, Clock::time_point now,
     }
   }
   for (int c : ring_.candidates(key)) {
-    if (routable_locked(c) && std::find(tried.begin(), tried.end(), c) == tried.end()) return c;
+    if (routable(shards_[static_cast<std::size_t>(c)]->health) &&
+        std::find(tried.begin(), tried.end(), c) == tried.end()) {
+      return c;
+    }
   }
   return -1;
-}
-
-bool FrontDoor::routable_locked(int sid) const {
-  const ShardState& st = *shards_[static_cast<std::size_t>(sid)];
-  if (st.health != ShardHealth::kHealthy &&
-      st.health != ShardHealth::kProbing) {
-    return false;
-  }
-  // Defensive: a shard being shut down concurrently (stop_shard between
-  // health mark and server shutdown) stops accepting before its state
-  // reads kStopped. mu_ -> server mutex ordering is safe: the server never
-  // calls back into the front door.
-  return st.server->accepting();
 }
 
 void FrontDoor::breaker_success_locked(ShardState& st) {
@@ -356,45 +304,27 @@ void FrontDoor::breaker_failure_locked(ShardState& st, bool shard_stopped,
   }
 }
 
-void FrontDoor::pending_done_locked() {
-  --pending_total_;
-  if (pending_total_ == 0) drain_cv_.notify_all();
-}
-
 void FrontDoor::drain() {
-  for (;;) {
-    // Flush shard queues outside mu_ (a failover retry may land new work
-    // on a shard after its drain returned — hence the outer loop).
-    for (auto& st : shards_) {
-      if (st->server->accepting()) st->server->drain();
-    }
-    std::unique_lock<std::mutex> lock(mu_);
-    if (pending_total_ == 0) return;
-    drain_cv_.wait_for(lock, std::chrono::milliseconds(1),
-                       [&] { return pending_total_ == 0; });
-    if (pending_total_ == 0) return;
+  std::unique_lock<std::mutex> lock(mu_);
+  while (pending_total_ != 0) {
+    // Flush every shard outside mu_. A failover may land work on a shard
+    // whose drain already returned; its submit then bumps shard_submits_,
+    // which wakes this wait for another flush.
+    const std::uint64_t seen = shard_submits_;
+    lock.unlock();
+    for (auto& st : shards_) st->server->drain();  // a stopped shard returns at once
+    lock.lock();
+    drain_cv_.wait(lock, [&] { return pending_total_ == 0 || shard_submits_ != seen; });
   }
 }
 
 void FrontDoor::shutdown() {
-  std::lock_guard<std::mutex> lifecycle(lifecycle_mu_);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (joined_) return;
     accepting_ = false;
   }
-  drain();  // every accepted front-door future resolves before threads stop
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_forwarders_ = true;
-    for (auto& st : shards_) st->cv.notify_all();
-  }
-  for (auto& st : shards_) {
-    if (st->forwarder.joinable()) st->forwarder.join();
-  }
-  for (auto& st : shards_) st->server->shutdown();
-  std::lock_guard<std::mutex> lock(mu_);
-  joined_ = true;
+  drain();  // every accepted front-door future resolves before the shards stop
+  for (auto& st : shards_) st->server->shutdown();  // idempotent
 }
 
 void FrontDoor::stop_shard(int shard) {
@@ -404,7 +334,7 @@ void FrontDoor::stop_shard(int shard) {
   {
     // Mark first so new submits route around the shard immediately; its
     // already-accepted requests drain inside server->shutdown() below, so
-    // their forwarder futures still resolve with values.
+    // their completions still deliver values.
     std::lock_guard<std::mutex> lock(mu_);
     if (st.health != ShardHealth::kStopped) {
       st.health = ShardHealth::kStopped;
@@ -444,10 +374,7 @@ ClusterStats FrontDoor::stats() const {
       s.breaker_trips = st.breaker_trips;
       s.breaker_recoveries = st.breaker_recoveries;
       total_routed += st.routed;
-      if (st.health == ShardHealth::kHealthy ||
-          st.health == ShardHealth::kProbing) {
-        ++out.healthy_shards;
-      }
+      if (routable(st.health)) ++out.healthy_shards;
     }
   }
   for (auto& s : out.shard_stats) {
@@ -457,7 +384,7 @@ ClusterStats FrontDoor::stats() const {
   }
 
   // Copy the recorders under stats_mu_, then merge + summarize outside it
-  // (summaries sort; the sort must not stall the forwarders' record path).
+  // (summaries sort; the sort must not stall the completions' record path).
   std::vector<LatencyRecorder> windows;
   windows.reserve(shards_.size() + 1);
   {
@@ -503,10 +430,7 @@ int FrontDoor::healthy_shard_count() const {
   std::lock_guard<std::mutex> lock(mu_);
   int n = 0;
   for (auto& st : shards_) {
-    if (st->health == ShardHealth::kHealthy ||
-        st->health == ShardHealth::kProbing) {
-      ++n;
-    }
+    if (routable(st->health)) ++n;
   }
   return n;
 }
@@ -514,18 +438,6 @@ int FrontDoor::healthy_shard_count() const {
 int FrontDoor::shard_for(const std::string& model_id,
                          const Tensor& image) const {
   return ring_.shard_for(RequestKey::of(model_id, image).lo);
-}
-
-InferenceServer& FrontDoor::shard(int i) {
-  check(i >= 0 && i < static_cast<int>(shards_.size()),
-        "FrontDoor: shard index out of range");
-  return *shards_[static_cast<std::size_t>(i)]->server;
-}
-
-const InferenceServer& FrontDoor::shard(int i) const {
-  check(i >= 0 && i < static_cast<int>(shards_.size()),
-        "FrontDoor: shard index out of range");
-  return *shards_[static_cast<std::size_t>(i)]->server;
 }
 
 }  // namespace bswp::runtime

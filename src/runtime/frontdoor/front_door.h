@@ -11,13 +11,14 @@
 //   consistent-hash ring (vnodes) ──> owner shard ── unhealthy? walk to the
 //        │                                           next live shard
 //        ▼
-//   shard InferenceServer::submit ──> shard future
+//   shard InferenceServer::submit(..., completion)
 //        │
 //        ▼
-//   per-shard forwarder thread: waits on shard futures in submit order,
-//   fills the cache, trips/probes the breaker on rejections, retries
-//   rejected requests on the remaining live shards, and fulfills the
-//   front-door future the caller holds.
+//   completion (on whichever thread settles the request — a shard worker,
+//   or the submitting thread for a refusal or a shed): fills the cache,
+//   trips/probes the breaker on rejections, fails a rejected request over
+//   to the next live shard at once, and fulfils the front-door future the
+//   caller holds. Requests complete in any order; no front-door thread.
 //
 // Guarantees, in the spirit of docs/serving.md:
 //
@@ -32,6 +33,10 @@
 //     rejected request is retried on the remaining live shards before its
 //     future is allowed to fail; stop_shard()
 //     itself drains the shard's accepted work before it goes dark.
+//   * Any-order completion — a request resolves (or fails over, counted by
+//     the breaker) as soon as its shard settles it, never behind earlier
+//     requests on the same shard; a refusal at admission has done so before
+//     submit() returns.
 //   * Honest aggregation — ClusterStats latency percentiles are computed
 //     from merged per-shard sample windows (LatencyRecorder::merge), never
 //     by averaging per-shard percentiles.
@@ -43,12 +48,11 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
+#include <exception>
 #include <future>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "runtime/frontdoor/hash_ring.h"
@@ -62,9 +66,9 @@ namespace bswp::runtime {
 class FrontDoor {
  public:
   /// Builds the ring and starts every shard (each an InferenceServer with
-  /// options.server) plus one forwarder thread per shard.
+  /// options.server). The front door starts no thread of its own.
   explicit FrontDoor(const FrontDoorOptions& options = FrontDoorOptions{});
-  /// shutdown(): resolves every accepted future, then joins everything.
+  /// shutdown(): resolves every accepted future, then stops every shard.
   ~FrontDoor();
 
   FrontDoor(const FrontDoor&) = delete;
@@ -89,7 +93,7 @@ class FrontDoor {
   /// Flush every shard and wait until every accepted front-door future is
   /// ready (failover retries included). Keeps accepting.
   void drain();
-  /// Stop admission, drain, join forwarders, shut every shard down.
+  /// Stop admission, drain, shut every shard down.
   /// Idempotent; called by the destructor.
   void shutdown();
 
@@ -114,25 +118,28 @@ class FrontDoor {
   /// when every shard is up. Deterministic; used by tests and ops tooling
   /// to reason about placement.
   int shard_for(const std::string& model_id, const Tensor& image) const;
-  /// Direct access to one shard's server (bench/test introspection; the
-  /// returned reference is owned by the front door).
-  InferenceServer& shard(int i);
-  const InferenceServer& shard(int i) const;
 
  private:
   struct Pending;
   struct ShardState;
 
-  void forwarder_main(int sid);
+  /// Submit `p` to the first routable ring candidate it has not tried.
+  /// With none left it fails: with `fault`, the last shard's error, or
+  /// kUnhealthy on a first attempt (null `fault`).
+  void forward(std::shared_ptr<Pending> p, std::exception_ptr fault);
+  /// Shard `sid`'s completion for `p`: fills the cache, records latency,
+  /// updates the breaker, and resolves `p` — or, on a shard fault (a
+  /// ServerRejected), fails it over through forward().
+  void on_shard_done(std::shared_ptr<Pending> p, int sid, QTensor logits,
+                     std::exception_ptr error);
+  /// Fulfil the caller's future, then retire `p` from pending_total_.
+  void resolve(Pending& p, QTensor logits, std::exception_ptr error);
   /// First routable shard for `key` in ring-successor order, skipping
   /// `tried`; -1 when none. Also lazily moves cooled-down breakers to
   /// kProbing. Lock held.
   int route_locked(std::uint64_t key, Clock::time_point now, const std::vector<int>& tried);
-  bool routable_locked(int sid) const;
   void breaker_success_locked(ShardState& st);
   void breaker_failure_locked(ShardState& st, bool shard_stopped, Clock::time_point now);
-  /// One request left the pending pipeline (resolved either way). Lock held.
-  void pending_done_locked();
 
   FrontDoorOptions options_;
   /// Resolved time source: options_.server.clock, or the process steady
@@ -141,19 +148,18 @@ class FrontDoor {
   HashRing ring_;
   ResultCache cache_;
 
-  std::mutex lifecycle_mu_;  // serializes shutdown()/destructor
-  mutable std::mutex mu_;    // routing, health, pending queues, counters
+  mutable std::mutex mu_;    // routing, health, pending count, counters
   // Latency recorders live behind their own lock; never held with mu_
   // (same discipline as InferenceServer).
   mutable std::mutex stats_mu_;
-  std::condition_variable drain_cv_;  // pending_total_ reached zero
+  // pending_total_ reached zero, or shard_submits_ moved
+  std::condition_variable drain_cv_;
 
   std::vector<std::unique_ptr<ShardState>> shards_;
 
   bool accepting_ = true;
-  bool stop_forwarders_ = false;
-  bool joined_ = false;
-  std::size_t pending_total_ = 0;  // front-door futures not yet resolved
+  std::size_t pending_total_ = 0;   // front-door futures not yet resolved
+  std::uint64_t shard_submits_ = 0; // shard submit() calls that returned
 
   std::uint64_t submitted_ = 0;
   std::uint64_t completed_ = 0;

@@ -142,6 +142,34 @@ kernels::Requant read_requant(std::istream& is) {
   return rq;
 }
 
+/// A conv plan's spec against its own dims and its producer's. The Executor
+/// sizes arena slots from out_chw and walks them with the spec, so a spec
+/// that disagrees with either writes out of bounds or never finishes.
+void check_conv_spec(const LayerPlan& p, const std::vector<LayerPlan>& plans) {
+  const auto fail = [](const char* what) {
+    throw std::runtime_error(std::string("bswp: conv spec: ") + what);
+  };
+  if (p.inputs.empty()) fail("no input");
+  const std::vector<int>& in = plans[static_cast<std::size_t>(p.inputs[0])].out_chw;
+  const std::vector<int>& out = p.out_chw;
+  if (in.size() != 3 || out.size() != 3) fail("dims are not CHW");
+  const nn::ConvSpec& c = p.spec;
+  if (c.kh < 1 || c.kw < 1 || c.stride < 1) fail("kernel or stride < 1");
+  if (c.pad < 0 || c.pad >= c.kh || c.pad >= c.kw) fail("pad outside [0, kernel)");
+  if (c.in_ch < 1 || c.in_ch != in[0]) fail("in_ch differs from its input's channels");
+  if (c.out_ch != out[0]) fail("out_ch differs from out_chw[0]");
+  if (c.groups < 1 || c.in_ch % c.groups != 0 || c.out_ch % c.groups != 0) {
+    fail("groups do not divide both channel counts");
+  }
+  // ConvSpec::out_h/out_w, in 64 bits so forged dims cannot overflow.
+  const auto out_size = [&](int in_dim, int k) {
+    return (static_cast<int64_t>(in_dim) + 2 * static_cast<int64_t>(c.pad) - k) / c.stride + 1;
+  };
+  if (out[1] != out_size(in[1], c.kh) || out[2] != out_size(in[2], c.kw)) {
+    fail("out_chw differs from the output size of its input");
+  }
+}
+
 }  // namespace
 
 void save_network(const CompiledNetwork& net, std::ostream& os) {
@@ -292,6 +320,10 @@ CompiledNetwork load_network(std::istream& is) {
     p.out.bits = read_pod<int32_t>(is);
     p.out.is_signed = read_pod<uint8_t>(is) != 0;
     p.out_chw = read_int_vec(is);
+    if (p.kind == PlanKind::kConvBaseline || p.kind == PlanKind::kConvBitSerial ||
+        p.kind == PlanKind::kConvBinary) {
+      check_conv_spec(p, net.plans);
+    }
   }
   return net;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 
@@ -53,13 +54,13 @@ void validate(const AutoscalerOptions& a, const char* who) {
 
 }  // namespace
 
-/// One queued request: the input, the client's promise, and two timestamps —
+/// One queued request: the input, its completion, and two timestamps —
 /// end-to-end latency is measured from `arrival` (the top of submit(), so a
 /// kBlock wait on a full queue is counted), while the batching deadline runs
 /// from `enqueue` (queue entry, the moment the request became batchable).
 struct InferenceServer::Request {
   Tensor image;
-  std::promise<QTensor> promise;
+  Completion done;
   Clock::time_point arrival;
   Clock::time_point enqueue;
   /// SubmitOptions::affinity_key (0 = none): sticky-worker placement.
@@ -259,9 +260,22 @@ std::future<QTensor> InferenceServer::submit(const std::string& model_id, Tensor
 
 std::future<QTensor> InferenceServer::submit(const std::string& model_id, Tensor image,
                                              const SubmitOptions& options) {
+  auto promise = std::make_shared<std::promise<QTensor>>();
+  std::future<QTensor> fut = promise->get_future();
+  submit(model_id, std::move(image), options,
+         [promise](QTensor logits, std::exception_ptr error) {
+           if (error != nullptr) {
+             promise->set_exception(std::move(error));
+           } else {
+             promise->set_value(std::move(logits));
+           }
+         });
+  return fut;
+}
+
+void InferenceServer::submit(const std::string& model_id, Tensor image,
+                             const SubmitOptions& options, Completion done) {
   const Clock::time_point arrival = clock_->now();
-  std::promise<QTensor> promise;
-  std::future<QTensor> fut = promise.get_future();
 
   std::unique_lock<std::mutex> lock(mu_);
   ModelState* m = find_model_locked(model_id);
@@ -270,8 +284,7 @@ std::future<QTensor> InferenceServer::submit(const std::string& model_id, Tensor
   const auto reject = [&](ServerRejected::Reason reason, const char* what) {
     ++m->counters.admission.rejected;
     lock.unlock();
-    promise.set_exception(std::make_exception_ptr(ServerRejected(reason, what)));
-    return std::move(fut);
+    done(QTensor{}, std::make_exception_ptr(ServerRejected(reason, what)));
   };
   if (!accepting_) {
     return reject(ServerRejected::Reason::kShutdown, "InferenceServer: shutting down");
@@ -282,6 +295,7 @@ std::future<QTensor> InferenceServer::submit(const std::string& model_id, Tensor
   // worker is busy). RequestClass does not bypass admission — a kHigh
   // request blocks/rejects like any other; it only orders the queue.
   const std::size_t capacity = m->config.queue.capacity;
+  std::optional<Request> victim;
   if (m->queued() >= capacity) {
     switch (m->config.queue.policy) {
       case QueuePolicy::kBlock:
@@ -293,24 +307,17 @@ std::future<QTensor> InferenceServer::submit(const std::string& model_id, Tensor
       case QueuePolicy::kReject:
         return reject(ServerRejected::Reason::kQueueFull,
                       "InferenceServer: queue full (kReject)");
-      case QueuePolicy::kShedOldest: {
-        // The victim's future must be failed before mu_ is released: once
-        // the request leaves the queue it is invisible to drain()/shutdown's
-        // idle predicate, and their "every accepted future is ready"
-        // guarantee would otherwise race the set_exception below.
-        Request victim = m->pop_shed_victim();
+      case QueuePolicy::kShedOldest:
+        // Failed outside mu_ below, once the newcomer holds its slot.
+        victim = m->pop_shed_victim();
         ++m->counters.admission.shed;
-        victim.promise.set_exception(std::make_exception_ptr(ServerRejected(
-            ServerRejected::Reason::kShed,
-            "InferenceServer: shed by a newer request (kShedOldest)")));
         break;
-      }
     }
   }
 
   Request r;
   r.image = std::move(image);
-  r.promise = std::move(promise);
+  r.done = std::move(done);
   r.arrival = arrival;
   r.enqueue = clock_->now();
   r.affinity_key = options.affinity_key;
@@ -318,7 +325,22 @@ std::future<QTensor> InferenceServer::submit(const std::string& model_id, Tensor
   (options.cls == RequestClass::kHigh ? m->high : m->norm).push_back(std::move(r));
   ++m->counters.admission.accepted;
   sched_cv_.notify_one();
-  return fut;
+  if (victim) {
+    settle_detached(lock, std::span<Request>(&*victim, 1),
+                    ServerRejected(ServerRejected::Reason::kShed,
+                                   "InferenceServer: shed by a newer request (kShedOldest)"));
+  }
+}
+
+void InferenceServer::settle_detached(std::unique_lock<std::mutex>& lock,
+                                      std::span<Request> requests, const ServerRejected& why) {
+  settling_ += requests.size();
+  lock.unlock();
+  const std::exception_ptr error = std::make_exception_ptr(why);
+  for (Request& r : requests) r.done(QTensor{}, error);
+  lock.lock();
+  settling_ -= requests.size();
+  if (settling_ == 0) idle_cv_.notify_all();
 }
 
 void InferenceServer::forget_affinity(const std::string& model_id, std::uint64_t affinity_key) {
@@ -345,7 +367,8 @@ Clock::duration InferenceServer::exec_estimate_locked(const ModelState& m) const
 }
 
 void InferenceServer::expire_deadlines_locked(ModelState& m, Clock::time_point now,
-                                              Clock::time_point* next_deadline) {
+                                              Clock::time_point* next_deadline,
+                                              std::vector<Request>* expired) {
   // Refuse-to-dispatch: with an execution estimate available, a request is
   // unmeetable once its remaining slack drops below the estimated execution
   // time — not merely once the deadline itself passes. Purging on the
@@ -353,7 +376,7 @@ void InferenceServer::expire_deadlines_locked(ModelState& m, Clock::time_point n
   // ever occupying a worker; without an estimate this degrades to plain
   // queue-residency expiry.
   const Clock::duration est = exec_estimate_locked(m);
-  bool removed = false;
+  const std::size_t before = expired->size();
   for (std::deque<Request>* q : {&m.high, &m.norm}) {
     for (auto it = q->begin(); it != q->end();) {
       if (it->deadline == Clock::time_point::max()) {
@@ -362,43 +385,32 @@ void InferenceServer::expire_deadlines_locked(ModelState& m, Clock::time_point n
       }
       const Clock::time_point effective = it->deadline - est;
       if (effective <= now) {
-        // Fail the future before mu_ is released, like the kShedOldest path:
-        // once the request leaves the queue it is invisible to the
-        // drain()/shutdown idle predicate, whose "every accepted future is
-        // ready" guarantee must not race this set_exception.
         ++m.counters.admission.shed;
         ++m.counters.deadline_expired;
-        it->promise.set_exception(std::make_exception_ptr(ServerRejected(
-            ServerRejected::Reason::kDeadlineExpired,
-            "InferenceServer: deadline unmeetable (expired in queue, or remaining "
-            "slack below the execution estimate)")));
+        expired->push_back(std::move(*it));
         it = q->erase(it);
-        removed = true;
       } else {
         *next_deadline = std::min(*next_deadline, effective);
         ++it;
       }
     }
   }
-  if (removed) {
-    space_cv_.notify_all();  // queue space freed for kBlock submitters
-    idle_cv_.notify_all();   // a drain() may be waiting on empty queues
-  }
+  if (expired->size() != before) space_cv_.notify_all();  // queue space freed for kBlock submitters
 }
 
 InferenceServer::ModelState* InferenceServer::select_model_locked(
-    Clock::time_point now, Clock::time_point* next_deadline) {
+    Clock::time_point now, Clock::time_point* next_deadline, std::vector<Request>* expired) {
   *next_deadline = Clock::time_point::max();
 
   // Purge expired per-request deadlines over every queued model before
   // anything else — in particular before the no-free-worker early return
-  // below. An expired request must fail its future promptly even under full
+  // below. An expired request must settle promptly even under full
   // worker saturation (the session layer's deadline-free retry waits on that
   // failure), and the earliest surviving request deadline joins the batching
   // deadlines in the scheduler's wake computation so the purge re-runs on
   // time while all workers stay busy.
   for (const auto& m : models_) {
-    if (m->queued() != 0) expire_deadlines_locked(*m, now, next_deadline);
+    if (m->queued() != 0) expire_deadlines_locked(*m, now, next_deadline, expired);
   }
 
   // A batch is formed only while a live worker is free: at most one pending
@@ -522,6 +534,7 @@ void InferenceServer::dispatch_locked(ModelState& m, int wid, bool affinity_hit,
 }
 
 void InferenceServer::scheduler_main() {
+  std::vector<Request> expired;  // deadline purges, failed outside mu_
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
     if (stop_threads_) return;
@@ -533,7 +546,7 @@ void InferenceServer::scheduler_main() {
     }
 
     Clock::time_point next_deadline = Clock::time_point::max();
-    ModelState* pick = select_model_locked(now, &next_deadline);
+    ModelState* pick = select_model_locked(now, &next_deadline, &expired);
     if (pick != nullptr) {
       bool hit = false;
       bool session_hit = false;
@@ -542,8 +555,16 @@ void InferenceServer::scheduler_main() {
       // the lock has been held throughout, so a slot is guaranteed.
       check(wid >= 0, "InferenceServer: scheduler invariant violated (no free worker)");
       dispatch_locked(*pick, wid, hit, session_hit);
-      continue;  // more models (or more of this one) may be ready
     }
+    if (!expired.empty()) {
+      settle_detached(lock, expired,
+                      ServerRejected(ServerRejected::Reason::kDeadlineExpired,
+                                     "InferenceServer: deadline unmeetable (expired in queue, "
+                                     "or remaining slack below the execution estimate)"));
+      expired.clear();
+      continue;  // mu_ was released: re-read the queues before sleeping
+    }
+    if (pick != nullptr) continue;  // more models (or more of this one) may be ready
 
     // Nothing dispatchable: sleep until the oldest request's batching
     // deadline fires a partial batch, or the next autoscaler evaluation,
@@ -681,7 +702,7 @@ void InferenceServer::worker_main(int wid) {
           "unreachable)"));
     };
     // Per-request execution: the fallback that isolates a failing request to
-    // its own future when a batched call of two or more throws (batch
+    // its own outcome when a batched call of two or more throws (batch
     // neighbours are other clients' requests). Solo runs are governed by the
     // request's own deadline.
     const auto run_solo = [&](const Tensor& image, Clock::time_point deadline, Outcome& o) {
@@ -701,7 +722,7 @@ void InferenceServer::worker_main(int wid) {
     if (build_error != nullptr) {
       for (Outcome& o : outcomes) o.error = build_error;
     } else {
-      // Up-front shape validation: a bad request fails its own future here
+      // Up-front shape validation: a bad request fails on its own here
       // and never enters the batch, so its neighbours still ride the single
       // batched executor call.
       staging.clear();
@@ -782,12 +803,12 @@ void InferenceServer::worker_main(int wid) {
       if (o.error == nullptr) ++ok;
     }
 
-    // The admission ledger, then the futures, then the rest of the
-    // bookkeeping: a stats read made after a future resolves already counts
-    // that request, only the counters sit between the run and the caller,
-    // and once drain() observes this worker idle every drained future is
-    // ready and every latency sample recorded. The locks are taken one at a
-    // time, never nested.
+    // The admission ledger, then the completions (no lock held), then the
+    // rest of the bookkeeping: a stats read made after a request settles
+    // already counts it, only the counters sit between the run and the
+    // caller, and once drain() observes this worker idle every completion
+    // has returned and every latency sample is recorded. The locks are
+    // taken one at a time, never nested.
     lock.lock();
     AdmissionCounters& adm = m.counters.admission;
     adm.completed += ok;
@@ -796,11 +817,7 @@ void InferenceServer::worker_main(int wid) {
     adm.failed += task.requests.size() - ok - shed_n;
     lock.unlock();
     for (std::size_t i = 0; i < task.requests.size(); ++i) {
-      if (outcomes[i].error != nullptr) {
-        task.requests[i].promise.set_exception(outcomes[i].error);
-      } else {
-        task.requests[i].promise.set_value(std::move(outcomes[i].logits));
-      }
+      task.requests[i].done(std::move(outcomes[i].logits), outcomes[i].error);
     }
     {
       // A request shed mid-run records no latency sample (like a queue purge).
@@ -837,15 +854,11 @@ void InferenceServer::worker_main(int wid) {
   }
 }
 
-bool InferenceServer::queues_empty_locked() const {
+bool InferenceServer::idle_locked() const {
+  if (busy_workers_ != 0 || settling_ != 0) return false;
   for (const auto& m : models_) {
     if (m->queued() != 0) return false;
   }
-  return true;
-}
-
-bool InferenceServer::workers_quiescent_locked() const {
-  if (busy_workers_ != 0) return false;
   for (const auto& w : worker_state_) {
     if (w->has_task) return false;
   }
@@ -857,7 +870,7 @@ void InferenceServer::drain() {
   ++drain_waiters_;
   flush_ = true;  // dispatch everything queued, deadlines ignored
   sched_cv_.notify_all();
-  idle_cv_.wait(lock, [&] { return queues_empty_locked() && workers_quiescent_locked(); });
+  idle_cv_.wait(lock, [&] { return idle_locked(); });
   // Restore deadline batching once the last drainer leaves (shutdown keeps
   // the flush on for good).
   if (--drain_waiters_ == 0 && accepting_) flush_ = false;
@@ -875,7 +888,7 @@ void InferenceServer::shutdown() {
     ++drain_waiters_;
     space_cv_.notify_all();
     sched_cv_.notify_all();
-    idle_cv_.wait(lock, [&] { return queues_empty_locked() && workers_quiescent_locked(); });
+    idle_cv_.wait(lock, [&] { return idle_locked(); });
     --drain_waiters_;
     stop_threads_ = true;
     joined_ = true;
@@ -997,11 +1010,6 @@ void InferenceServer::reset_stats() {
 int InferenceServer::worker_count() const {
   std::lock_guard<std::mutex> lock(mu_);
   return live_workers_;
-}
-
-bool InferenceServer::accepting() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return accepting_;
 }
 
 std::vector<std::string> InferenceServer::model_ids() const {

@@ -33,17 +33,23 @@
 // backpressure (QueuePolicy::{kBlock, kReject, kShedOldest}) engages and
 // what the autoscaler reads as its grow signal.
 //
-// Results: submit() returns a std::future<QTensor> fulfilled with logits
-// bit-identical to Session::run / Executor::run for the same image (the
-// kernels are deterministic integer code and each request runs on one arena
-// executor). A request that fails (bad shape, rejected, shed, shutdown)
-// fulfills its future with an exception — ServerRejected for admission
-// failures — and never disturbs its batch neighbours.
+// Results: every request settles through one Completion, called exactly
+// once with the logits or the error and with no server lock held — on the
+// worker that ran it, the scheduler (deadline purge), or the submitting
+// thread (refusal, or the kShedOldest victim its arrival displaced). The
+// logits are bit-identical to Session::run / Executor::run for the same
+// image (the kernels are deterministic integer code and each request runs
+// on one arena executor). A request that fails (bad shape, rejected, shed,
+// shutdown) settles with an exception — ServerRejected for admission
+// failures — and never disturbs its batch neighbours. submit(...) →
+// std::future is a thin wrapper whose completion fulfils a promise, so the
+// future and callback paths run the same code.
 //
 // Shutdown: shutdown() (and the destructor) stops admission, flushes every
-// queue ignoring batching deadlines, waits for in-flight work, then joins
-// the threads — no submitted request is ever silently dropped. drain()
-// does the same flush-and-wait while keeping the server accepting.
+// queue ignoring batching deadlines, waits for in-flight work and for every
+// completion to return, then joins the threads — no submitted request is
+// ever silently dropped. drain() does the same flush-and-wait while keeping
+// the server accepting.
 //
 // docs/serving.md documents the semantics precisely (with a tuning
 // cookbook); docs/architecture.md places this layer in the full pipeline.
@@ -52,9 +58,12 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <exception>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -83,6 +92,13 @@ class ServerRejected : public std::runtime_error {
 
 class InferenceServer {
  public:
+  /// How one request settles: called exactly once, with the logits and a
+  /// null error, or with the error (logits empty). It runs with no server
+  /// lock held and may call back into this server (stats(), submit()), but
+  /// must not throw and must not block on the server — drain(), shutdown()
+  /// or a kBlock submit into a full queue from a completion can deadlock.
+  using Completion = std::function<void(QTensor logits, std::exception_ptr error)>;
+
   /// Starts the scheduler and worker threads immediately (`workers` threads,
   /// or `autoscaler.max_workers` when autoscaling is enabled — scaling only
   /// changes how many are dispatch-eligible). Per-model arena executors are
@@ -117,6 +133,12 @@ class InferenceServer {
   /// worker). See SubmitOptions for the exact semantics of each knob.
   std::future<QTensor> submit(const std::string& model_id, Tensor image,
                               const SubmitOptions& options);
+  /// The one submission path the future overloads wrap: `done` receives the
+  /// outcome (see Completion) — possibly before this call returns, for a
+  /// refusal. Throws std::invalid_argument for an unknown model id, and
+  /// `done` is then never called.
+  void submit(const std::string& model_id, Tensor image, const SubmitOptions& options,
+              Completion done);
 
   /// Drop the sticky-worker mapping for `affinity_key` on `model_id` (no-op
   /// for an unknown key). Session close/expiry calls this so a recycled key
@@ -124,8 +146,9 @@ class InferenceServer {
   void forget_affinity(const std::string& model_id, std::uint64_t affinity_key);
 
   /// Flush every queued request (batching deadlines ignored) and wait until
-  /// the server is momentarily idle: queues empty, no batch in flight.
-  /// Concurrent submits are still accepted and extend the wait.
+  /// the server is momentarily idle: queues empty, no batch in flight, and
+  /// every accepted request's completion returned. Concurrent submits are
+  /// still accepted and extend the wait.
   void drain();
 
   /// Stop admission, drain, and join all threads. Idempotent; called by the
@@ -149,10 +172,6 @@ class InferenceServer {
   /// autoscaler.min_workers/max_workers when autoscaling is enabled.
   int worker_count() const;
   std::vector<std::string> model_ids() const;
-  /// False once shutdown() has begun: every subsequent submit is rejected.
-  /// The cluster front door (runtime/frontdoor/) polls this to route around
-  /// a stopped shard without burning a request to find out.
-  bool accepting() const;
 
  private:
   struct Request;
@@ -165,17 +184,25 @@ class InferenceServer {
   /// Policy-aware model selection: the ready model the scheduler should
   /// dispatch next, or null. Fills `next_deadline` with the earliest
   /// batching OR request deadline among queued requests. Expired-deadline
-  /// requests are purged (futures failed) as a side effect. Lock held.
+  /// requests are purged into `expired` as a side effect. Lock held.
   ModelState* select_model_locked(std::chrono::steady_clock::time_point now,
-                                  std::chrono::steady_clock::time_point* next_deadline);
+                                  std::chrono::steady_clock::time_point* next_deadline,
+                                  std::vector<Request>* expired);
   /// Purge requests whose SubmitOptions::deadline is unmeetable: elapsed in
   /// queue, or with less slack left than the model's (calibrated) execution
-  /// estimate, so dispatching them would only waste a worker. Fails their
-  /// futures with kDeadlineExpired.
+  /// estimate, so dispatching them would only waste a worker. Moves them to
+  /// `expired` for the caller to fail with kDeadlineExpired.
   /// Feeds the earliest surviving effective deadline (deadline minus the
   /// execution estimate) into `next_deadline`. Lock held.
   void expire_deadlines_locked(ModelState& m, std::chrono::steady_clock::time_point now,
-                               std::chrono::steady_clock::time_point* next_deadline);
+                               std::chrono::steady_clock::time_point* next_deadline,
+                               std::vector<Request>* expired);
+  /// Fail `requests`, which left their queues under `lock`, with `why`.
+  /// The completions run with the lock released; until they all return the
+  /// requests count in settling_, so drain()/shutdown() still wait for
+  /// them. Called and returns with `lock` held.
+  void settle_detached(std::unique_lock<std::mutex>& lock, std::span<Request> requests,
+                       const ServerRejected& why);
   /// The model's calibrated whole-network execution estimate, as a clock
   /// duration (zero when the model has no estimate).
   /// Lock held (reads the calibration EWMA).
@@ -192,8 +219,9 @@ class InferenceServer {
   void autoscale_locked(std::chrono::steady_clock::time_point now);
   /// The registered model `model_id`, or null. Lock held.
   ModelState* find_model_locked(const std::string& model_id) const;
-  bool queues_empty_locked() const;
-  bool workers_quiescent_locked() const;  // no pending slot, none busy
+  /// Queues empty, no batch placed or running, no detached completion in
+  /// progress: every accepted request has settled. Lock held.
+  bool idle_locked() const;
   /// Everything except the latency summary, which the caller computes from
   /// the copied-out sample window after releasing mu_.
   ModelStats snapshot_locked(const ModelState& m) const;
@@ -236,6 +264,7 @@ class InferenceServer {
   std::chrono::steady_clock::time_point next_eval_;
 
   int busy_workers_ = 0;
+  std::size_t settling_ = 0;  // detached requests whose completion is running
   bool accepting_ = true;
   bool flush_ = false;        // drain/shutdown: ignore batching deadlines
   int drain_waiters_ = 0;     // flush_ stays set while any drain() waits

@@ -4,7 +4,9 @@
 // results bit-identical to Session::run under a concurrent multi-client
 // storm, failover under an induced mid-run shard outage (every accepted
 // future resolves), the circuit breaker's trip/probe/recover cycle on a
-// manual clock, the all-shards-down refusal, and cross-shard stats
+// manual clock (refusals resolve inside submit, in any order), shed victims
+// failing over across shards without deadlock, the all-shards-down
+// refusal, and cross-shard stats
 // aggregation (merged latency windows, dispatch shares). Everything here
 // also runs under the TSan CI job — this suite is the concurrency contract
 // of the cluster layer, the way test_server.cpp is for one shard.
@@ -389,9 +391,9 @@ TEST(FrontDoor, FailoverLosesNoAcceptedRequestWhenShardDiesMidRun) {
 
 TEST(FrontDoor, RepeatedFailoverThenDrainLeavesNoFutureUnresolved) {
   // drain() returns once the pending count reaches zero, so a request must
-  // leave that count only after its promise is fulfilled; a forwarder that
+  // leave that count only after its promise is fulfilled; a completion that
   // retired it first would let a racing drain() return with the last future
-  // still unresolved. Spinning threads load the cores so that a forwarder
+  // still unresolved. Spinning threads load the cores so that a completion
   // preempted inside such a window is likely somewhere across the rounds.
   SmallModel& m = small_model();
   std::atomic<bool> stop{false};
@@ -409,8 +411,8 @@ TEST(FrontDoor, RepeatedFailoverThenDrainLeavesNoFutureUnresolved) {
     door.register_model("resnet-s", m.session.network());
     const int victim = door.shard_for("resnet-s", m.images[0]);
     for (int d = 0; d < kDrainsPerRound; ++d) {
-      // One request per drain: drain() and the forwarder then wake on the
-      // same shard completion, which is exactly the race in question.
+      // One request per drain: drain() and the shard's completion then race
+      // on the same request, which is exactly the race in question.
       std::future<QTensor> f =
           door.submit("resnet-s", m.images[static_cast<std::size_t>(d) % m.images.size()]);
       if (d == kDrainsPerRound / 2) door.stop_shard(victim);
@@ -427,8 +429,10 @@ TEST(FrontDoor, RepeatedFailoverThenDrainLeavesNoFutureUnresolved) {
 TEST(FrontDoor, BreakerTripsProbesAndRecoversOnTheManualClock) {
   // One shard whose queue holds a single request that never batches on its
   // own (max_batch 2 > capacity 1, a batching window virtual time never
-  // reaches): every further submit is a kReject rejection, a shard fault.
-  // drain() flushes the queue, so each phase resolves deterministically.
+  // reaches): every further submit is a kReject rejection, a shard fault,
+  // which resolves — and moves the breaker — before submit returns, not
+  // behind the queued head. drain() flushes the queue, so each phase
+  // resolves deterministically.
   SmallModel& m = small_model();
   ManualClock clock;
   FrontDoorOptions fo = quick_options(/*shards=*/1);
@@ -455,11 +459,16 @@ TEST(FrontDoor, BreakerTripsProbesAndRecoversOnTheManualClock) {
   auto queued = door.submit("resnet-s", m.images[0]);
   auto rejected1 = door.submit("resnet-s", m.images[1]);
   auto rejected2 = door.submit("resnet-s", m.images[2]);
+  EXPECT_EQ(rejected1.wait_for(0s), std::future_status::ready);
+  EXPECT_EQ(rejected2.wait_for(0s), std::future_status::ready);
+  ClusterStats s = door.stats();
+  EXPECT_EQ(s.shard_stats[0].health, ShardHealth::kUnhealthy);
+  EXPECT_EQ(s.shard_stats[0].breaker_trips, 1u);
   door.drain();
   EXPECT_TRUE(same_bits(queued.get(), m.refs[0]));
   expect_rejected(rejected1, ServerRejected::Reason::kQueueFull);
   expect_rejected(rejected2, ServerRejected::Reason::kQueueFull);
-  ClusterStats s = door.stats();
+  s = door.stats();
   EXPECT_EQ(s.shard_stats[0].health, ShardHealth::kUnhealthy);
   EXPECT_EQ(s.shard_stats[0].failures, 2u);
   EXPECT_EQ(s.shard_stats[0].breaker_trips, 1u);
@@ -494,6 +503,73 @@ TEST(FrontDoor, BreakerTripsProbesAndRecoversOnTheManualClock) {
   EXPECT_EQ(s.completed, 3u);
   EXPECT_EQ(s.failed, 3u);
   EXPECT_EQ(s.failovers, 0u);  // one shard: nothing to fail over to
+}
+
+TEST(FrontDoor, CrossShardShedStormFailsOverWithoutDeadlock) {
+  // Two shed-oldest shards of capacity 1 under a multi-client storm: every
+  // arrival displaces a queued request, whose completion (on the submitting
+  // thread) fails it over to the other shard, where it displaces another,
+  // which may fail back. Each hop re-enters a shard's submit from inside a
+  // completion, so a settle under a shard lock would deadlock here. A high
+  // breaker threshold keeps the storm failing over instead of refusing.
+  SmallModel& m = small_model();
+  FrontDoorOptions fo = quick_options(/*shards=*/2);
+  fo.server.batching.max_batch = 1;
+  fo.server.batching.max_delay = 0us;
+  fo.server.queue.capacity = 1;
+  fo.server.queue.policy = QueuePolicy::kShedOldest;
+  fo.breaker.unhealthy_after = 1000000;
+  FrontDoor door(fo);
+  door.register_model("resnet-s", m.session.network());
+
+  const int kClients = 4;
+  const int kPerClient = 32;
+  std::atomic<int> mismatches{0};
+  std::atomic<int> unresolved{0};
+  std::atomic<int> unexpected_errors{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      std::vector<std::pair<std::size_t, std::future<QTensor>>> futs;
+      for (int i = 0; i < kPerClient; ++i) {
+        const std::size_t idx =
+            static_cast<std::size_t>(c * kPerClient + i) % m.images.size();
+        futs.emplace_back(idx, door.submit("resnet-s", m.images[idx]));
+      }
+      for (auto& [idx, f] : futs) {
+        if (f.wait_for(60s) != std::future_status::ready) {
+          unresolved.fetch_add(1);
+          continue;
+        }
+        try {
+          if (!same_bits(f.get(), m.refs[idx])) mismatches.fetch_add(1);
+        } catch (const ServerRejected& e) {
+          if (e.reason() != ServerRejected::Reason::kShed) unexpected_errors.fetch_add(1);
+        } catch (...) {
+          unexpected_errors.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+  door.drain();
+
+  EXPECT_EQ(unresolved.load(), 0);
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(unexpected_errors.load(), 0);
+  const ClusterStats s = door.stats();
+  EXPECT_EQ(s.submitted, static_cast<std::uint64_t>(kClients * kPerClient));
+  EXPECT_EQ(s.submitted, s.completed + s.failed);
+  EXPECT_GT(s.failovers, 0u);
+  EXPECT_EQ(s.healthy_shards, 2);
+  std::uint64_t shed = 0;
+  for (const ShardStats& ss : s.shard_stats) {
+    shed += ss.server.admission.shed;
+    EXPECT_EQ(ss.server.admission.accepted, ss.server.admission.completed +
+                                                ss.server.admission.failed +
+                                                ss.server.admission.shed);
+  }
+  EXPECT_GT(shed, 0u);
 }
 
 TEST(FrontDoor, EveryShardStoppedRefusesAsUnhealthy) {

@@ -156,6 +156,7 @@ TEST(Serialize, RejectsStructuralCorruptions) {
   };
   const std::size_t maxpool = first_of(PlanKind::kMaxPool);
   const std::size_t bitserial = first_of(PlanKind::kConvBitSerial);
+  const std::size_t conv1 = first_of(PlanKind::kConvBaseline);
   const std::size_t last = e.net.plans.size() - 1;
   const std::vector<std::pair<const char*, std::function<void(CompiledNetwork&)>>> mutations = {
       {"input past the plan list",
@@ -184,6 +185,23 @@ TEST(Serialize, RejectsStructuralCorruptions) {
        [&](CompiledNetwork& n) {
          n.plans[bitserial].variant = static_cast<kernels::BitSerialVariant>(9);
        }},
+      // Conv spec fields the byte sweep of a pooled container found writing
+      // out of bounds (out_ch, pad) or hanging (groups), then their
+      // neighbours. Each must disagree with the plan's own dims or its
+      // input's.
+      {"conv out_ch = 247", [&](CompiledNetwork& n) { n.plans[conv1].spec.out_ch = 247; }},
+      {"conv out_ch = 65288", [&](CompiledNetwork& n) { n.plans[conv1].spec.out_ch = 65288; }},
+      {"conv pad = 254", [&](CompiledNetwork& n) { n.plans[conv1].spec.pad = 254; }},
+      {"conv pad = -1", [&](CompiledNetwork& n) { n.plans[conv1].spec.pad = -1; }},
+      {"conv groups = 16711681",
+       [&](CompiledNetwork& n) { n.plans[conv1].spec.groups = 16711681; }},
+      {"conv groups = 0", [&](CompiledNetwork& n) { n.plans[conv1].spec.groups = 0; }},
+      {"conv kh = 0", [&](CompiledNetwork& n) { n.plans[conv1].spec.kh = 0; }},
+      {"conv kw = 0", [&](CompiledNetwork& n) { n.plans[bitserial].spec.kw = 0; }},
+      {"conv stride = 0", [&](CompiledNetwork& n) { n.plans[bitserial].spec.stride = 0; }},
+      {"conv in_ch + 1", [&](CompiledNetwork& n) { ++n.plans[bitserial].spec.in_ch; }},
+      {"conv out_chw[1] + 1", [&](CompiledNetwork& n) { ++n.plans[conv1].out_chw[1]; }},
+      {"conv out_chw[2] - 1", [&](CompiledNetwork& n) { --n.plans[bitserial].out_chw[2]; }},
   };
   for (const auto& [what, mutate] : mutations) {
     CompiledNetwork bad = e.net;

@@ -14,7 +14,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <exception>
 #include <future>
+#include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -22,8 +25,10 @@
 #include "core/rng.h"
 #include "models/zoo.h"
 #include "runtime/clock.h"
+#include "runtime/executor.h"
 #include "runtime/latency_recorder.h"
 #include "runtime/pipeline.h"
+#include "sim/mcu.h"
 
 namespace bswp::runtime {
 namespace {
@@ -792,6 +797,142 @@ TEST(InferenceServer, DrainFlushesDeadlinesAndMakesEveryFutureReady) {
   EXPECT_GT(s.latency.p50_us, 0.0);
   EXPECT_LE(s.latency.p50_us, s.latency.p95_us);
   EXPECT_LE(s.latency.p95_us, s.latency.p99_us);
+}
+
+/// A completion that re-enters its server at the settle site: it reads
+/// stats() (mu_ and stats_mu_ — a settle under either lock deadlocks here)
+/// and submits a request of its own to the "sink" model. It sleeps first,
+/// while it has queued nothing, so a drain() that did not wait for it would
+/// return before it records its outcome.
+struct ReentrantProbe {
+  InferenceServer& server;
+  const Tensor& sink_image;
+  std::mutex mu;
+  std::vector<std::string> outcomes;  // settle order: "ok", or the error text
+  std::atomic<int> returned{0};
+  std::atomic<int> nested_settled{0};
+
+  InferenceServer::Completion completion() {
+    return [this](QTensor logits, std::exception_ptr error) {
+      std::this_thread::sleep_for(2ms);
+      (void)server.stats();
+      server.submit("sink", Tensor(sink_image), SubmitOptions{},
+                    [this](QTensor, std::exception_ptr) { nested_settled.fetch_add(1); });
+      std::string what = logits.data.empty() ? "empty" : "ok";
+      if (error != nullptr) {
+        try {
+          std::rethrow_exception(error);
+        } catch (const std::exception& e) {
+          what = e.what();
+        }
+      }
+      std::lock_guard<std::mutex> lock(mu);
+      outcomes.push_back(what);
+      returned.fetch_add(1);
+    };
+  }
+  std::string outcome(std::size_t i) {
+    std::lock_guard<std::mutex> lock(mu);
+    return i < outcomes.size() ? outcomes[i] : "missing";
+  }
+};
+
+TEST(InferenceServer, CompletionsMayReenterTheServerAtEverySettleSite) {
+  SmallModel& m = small_model();
+  // Virtual time stands still, so nothing dispatches on its own: a 2-wide
+  // batch forms only when two requests queue, and the one-hour window never
+  // closes unless drain() flushes it.
+  ManualClock clock;
+  ServerOptions so = quick_options(/*workers=*/1, /*max_batch=*/2,
+                                   std::chrono::microseconds(3'600'000'000LL));
+  so.clock = &clock;
+  InferenceServer server(so);
+  const auto config = [&](QueuePolicy policy, std::size_t capacity) {
+    ModelConfig c;
+    c.batching = so.batching;
+    c.queue.policy = policy;
+    c.queue.capacity = capacity;
+    return c;
+  };
+  const CompiledNetwork& net = m.session.network();
+  server.register_model("sink", net, config(QueuePolicy::kShedOldest, 64));
+  server.register_model("reject", net, config(QueuePolicy::kReject, 1));
+  server.register_model("shed", net, config(QueuePolicy::kShedOldest, 1));
+  server.register_model("deadline", net, config(QueuePolicy::kShedOldest, 64));
+  server.register_model("inflight", net, config(QueuePolicy::kShedOldest, 64));
+  server.register_model("work", net, config(QueuePolicy::kShedOldest, 64));
+  ReentrantProbe probe{server, m.images[0]};
+  const auto contains = [](const std::string& text, const char* part) {
+    return text.find(part) != std::string::npos;
+  };
+
+  // kReject: the refusal settles inside submit, on this thread.
+  auto reject_head = server.submit("reject", m.images[1]);
+  server.submit("reject", Tensor(m.images[2]), SubmitOptions{}, probe.completion());
+  ASSERT_EQ(probe.returned.load(), 1);
+  EXPECT_TRUE(contains(probe.outcome(0), "kReject")) << probe.outcome(0);
+
+  // kShedOldest: the newcomer's submit settles the victim it displaced.
+  server.submit("shed", Tensor(m.images[3]), SubmitOptions{}, probe.completion());
+  auto shed_newcomer = server.submit("shed", m.images[4]);
+  ASSERT_EQ(probe.returned.load(), 2);
+  EXPECT_TRUE(contains(probe.outcome(1), "kShedOldest")) << probe.outcome(1);
+
+  server.drain();
+  EXPECT_EQ(reject_head.get().data, m.refs[1].data);
+  EXPECT_EQ(shed_newcomer.get().data, m.refs[4].data);
+
+  // Deadline purge: the scheduler settles it, with every queue empty and
+  // the worker idle, so only the purge's own completion holds drain() back.
+  SubmitOptions short_deadline;
+  short_deadline.deadline = 1ms;
+  server.submit("deadline", Tensor(m.images[5]), short_deadline, probe.completion());
+  clock.advance(2ms);
+  server.drain();
+  ASSERT_EQ(probe.returned.load(), 3);
+  EXPECT_TRUE(contains(probe.outcome(2), "deadline unmeetable")) << probe.outcome(2);
+
+  // In-flight shed: the server's own per-image estimate, recomputed here.
+  // A deadline 1.5 estimates out survives the dispatch-time purge (slack
+  // above one estimate), but the two-image batch prices at two estimates,
+  // so the worker sheds it at layer 0.
+  Executor profiler(net, 1);
+  double est_us = 0.0;
+  for (const sim::CostCounter& c : profiler.profile_layers(Tensor(std::vector<int>{3, 16, 16}))) {
+    est_us += sim::host_profile().seconds(c) * 1e6;
+  }
+  ASSERT_GT(est_us, 10.0);
+  SubmitOptions tight;
+  tight.deadline = std::chrono::microseconds(static_cast<std::int64_t>(est_us * 1.5));
+  server.submit("inflight", Tensor(m.images[6]), tight, probe.completion());
+  server.submit("inflight", Tensor(m.images[7]), tight, probe.completion());
+  server.drain();
+  ASSERT_EQ(probe.returned.load(), 5);
+  EXPECT_TRUE(contains(probe.outcome(3), "in-flight")) << probe.outcome(3);
+  EXPECT_TRUE(contains(probe.outcome(4), "in-flight")) << probe.outcome(4);
+
+  // Worker success and worker failure, settled by the worker in one batch.
+  Rng rng(3);
+  server.submit("work", Tensor(m.images[8]), SubmitOptions{}, probe.completion());
+  server.submit("work", random_image(rng, 3, 8), SubmitOptions{}, probe.completion());
+  server.drain();
+  ASSERT_EQ(probe.returned.load(), 7);
+  EXPECT_EQ(probe.outcome(5), "ok");
+  EXPECT_NE(probe.outcome(6), "ok");
+  EXPECT_NE(probe.outcome(6), "empty");
+
+  // Shutdown refusal: settled inside submit; the nested submit is refused
+  // too, and both completions run.
+  server.shutdown();
+  server.submit("work", Tensor(m.images[9]), SubmitOptions{}, probe.completion());
+  ASSERT_EQ(probe.returned.load(), 8);
+  EXPECT_TRUE(contains(probe.outcome(7), "shutting down")) << probe.outcome(7);
+
+  // Every nested submit settled once; the ledger balances.
+  EXPECT_EQ(probe.nested_settled.load(), 8);
+  const ServerStats s = server.stats();
+  EXPECT_EQ(s.admission.accepted, s.admission.completed + s.admission.failed + s.admission.shed);
+  EXPECT_EQ(server.model_stats("inflight").deadline_expired, 2u);
 }
 
 TEST(InferenceServer, DestructorDrainsInFlightRequests) {

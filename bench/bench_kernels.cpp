@@ -5,8 +5,8 @@
 //
 // Three sections:
 //   1. kernel micro-benchmarks — the int8 conv/linear cores, the bit-serial
-//      LUT accumulate and the XNOR popcount core, scalar vs SIMD on
-//      identical buffers (outputs are asserted byte-identical);
+//      LUT accumulate, the XNOR popcount core and the residual add, scalar
+//      vs SIMD on identical buffers (outputs are asserted byte-identical);
 //   2. end-to-end — each network compiled twice, HostLaneSelect::kScalar vs
 //      the default cost-model lane selection, timed through a warm arena
 //      Executor (the engine under Session::run);
@@ -106,7 +106,7 @@ void micro_benchmarks(JsonWriter& jw) {
     QTensor out_s({1, c, oh, ow}, 8, false), out_v = out_s;
     QView in = QView::of(f.input), vs = QView::of(out_s), vv = QView::of(out_v);
     const std::size_t in_n = f.input.size(), out_n = out_s.size();
-    ScratchArena scratch(kernels::simd::simd_conv_scratch_bytes(f.spec, 1));
+    ScratchArena scratch(kernels::simd::simd_conv_scratch_bytes(f.spec, 16, 1));
     const double scalar_us = time_us(iters, [&] {
       kernels::baseline_conv2d(in, in_n, 1, f.qweights, f.spec, f.rq, vs, out_n, nullptr);
     });
@@ -130,7 +130,7 @@ void micro_benchmarks(JsonWriter& jw) {
     kernels::Requant rq = kernels::Requant::uniform(fout, 1e-4f, {}, 0.01f, 8, false, true);
     QTensor out_s({1, fout}, 8, false), out_v = out_s;
     QView in = QView::of(input), vs = QView::of(out_s), vv = QView::of(out_v);
-    ScratchArena scratch(kernels::simd::simd_linear_scratch_bytes(fin, 1));
+    ScratchArena scratch(kernels::simd::simd_linear_scratch_bytes(fin, fout, 1));
     const int lin_iters = smoke_scaled(300, 20);
     const double scalar_us = time_us(
         lin_iters, [&] { kernels::baseline_linear(in, fin, 1, w, rq, vs, fout, nullptr); });
@@ -209,6 +209,28 @@ void micro_benchmarks(JsonWriter& jw) {
       std::exit(1);
     }
     add_pair(jw, "xnor_c64", scalar_us, simd_us);
+  }
+
+  // Residual add: two 16x16x16 activations at act_bits 4 (pooled ResNet-s
+  // stage-1 geometry at full width) into a relu-fused 4-bit output.
+  {
+    Rng rng(5);
+    QTensor a({1, 16, 16, 16}, 4, false), b = a;
+    a.scale = 0.05f;
+    b.scale = 0.03f;
+    b.zero_point = 8;
+    for (auto& v : a.data) v = static_cast<int16_t>(rng.uniform_int(16));
+    for (auto& v : b.data) v = static_cast<int16_t>(rng.uniform_int(16));
+    const kernels::Requant rq = kernels::Requant::uniform(1, 1.0f, {}, 0.07f, 4, false, true);
+    QTensor out_s = a, out_v = a;
+    QView va = QView::of(a), vb = QView::of(b), vs = QView::of(out_s), vv = QView::of(out_v);
+    const int add_iters = smoke_scaled(2000, 50);
+    const double scalar_us =
+        time_us(add_iters, [&] { kernels::add_q(va, vb, rq, vs, nullptr); });
+    const double simd_us =
+        time_us(add_iters, [&] { kernels::simd::simd_add_q(va, vb, rq, vv, nullptr); });
+    check_identical(out_s, out_v, "add");
+    add_pair(jw, "add_c16", scalar_us, simd_us);
   }
 }
 

@@ -193,7 +193,8 @@ void add_q(const QView& a, const QView& b, const Requant& rq, QView& out,
     float real = a.scale * static_cast<float>(a.data[i] - a.zero_point) +
                  b.scale * static_cast<float>(b.data[i] - b.zero_point);
     if (rq.fuse_relu && real < 0.0f) real = 0.0f;
-    auto q = static_cast<int32_t>(std::lround(real / rq.out.scale)) + rq.out.zero_point;
+    auto q = static_cast<int32_t>(std::lround(saturate_for_rounding(real / rq.out.scale))) +
+             rq.out.zero_point;
     out.data[i] = static_cast<int16_t>(q < lo ? lo : (q > hi ? hi : q));
   }
   if (counter != nullptr) {

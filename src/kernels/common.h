@@ -103,6 +103,29 @@ struct OutputQuant {
   int32_t qmax() const { return is_signed ? (1 << (bits - 1)) - 1 : (1 << bits) - 1; }
 };
 
+/// Bound on x = real / out.scale before it is rounded: every requantizing
+/// kernel (Requant::apply, add_q and the SIMD epilogue) clamps x into
+/// [-kRequantSaturation, kRequantSaturation] first, so a huge or infinite
+/// real saturates to qmin/qmax instead of wrapping through int32.
+///
+/// Why 2^24: load_network accepts |zero_point| <= 2^16 and bits in [1, 16],
+/// so [qmin, qmax] lies inside [-2^15, 2^16 - 1]. For |x| >= 2^24,
+/// lround(x) + zero_point is beyond 2^24 - 2^16 > qmax (or below
+/// -2^24 + 2^16 < qmin), so the clamp changes no result the final
+/// [qmin, qmax] clamp would not already saturate, and
+/// |lround(x) + zero_point| <= 2^24 + 2^16 cannot overflow int32. Every
+/// integer up to 2^24 is a float, so inside the bound truncation and
+/// x - trunc(x) are exact — what the vector epilogue's rounding relies on.
+inline constexpr float kRequantSaturation = 16777216.0f;  // 2^24
+
+/// x clamped into [-kRequantSaturation, kRequantSaturation]; NaN goes to the
+/// lower bound. Written as the two compare-selects a vector max/min
+/// computes, so the SIMD epilogue reproduces it lane for lane.
+inline float saturate_for_rounding(float x) {
+  x = x > -kRequantSaturation ? x : -kRequantSaturation;
+  return x < kRequantSaturation ? x : kRequantSaturation;
+}
+
 /// Per-layer requantization: maps an int32 accumulator to the next layer's
 /// quantized activation domain. Per-output-channel scale/bias absorb both the
 /// conv bias and any BatchNorm affine (BN is folded into requantization, not
@@ -120,7 +143,9 @@ struct Requant {
     float real = static_cast<float>(acc) * scale[static_cast<std::size_t>(ch)] +
                  bias[static_cast<std::size_t>(ch)];
     if (fuse_relu && real < 0.0f) real = 0.0f;
-    const auto q = static_cast<int32_t>(std::lround(real / out.scale)) + out.zero_point;
+    const auto q =
+        static_cast<int32_t>(std::lround(saturate_for_rounding(real / out.scale))) +
+        out.zero_point;
     const int32_t lo = qmin(), hi = qmax();
     return static_cast<int16_t>(q < lo ? lo : (q > hi ? hi : q));
   }

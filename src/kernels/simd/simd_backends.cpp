@@ -4,7 +4,8 @@
 // register_simd_backends is a no-op and SIMD-lane plans resolve to the
 // scalar backends through KernelRegistry::find's scalar-lane fallback. One
 // bit-serial implementation serves all five variant keys — the variants are
-// bit-identical by contract and differ only in the MCU cost tallied.
+// bit-identical by contract and differ only in the MCU cost tallied. The
+// residual add (PlanKind::kAdd) has a SIMD twin too.
 #include "binary/binary_backend.h"
 #include "kernels/simd/simd_dispatch.h"
 #include "kernels/simd/simd_kernels.h"
@@ -25,8 +26,8 @@ class SimdConvBackend : public KernelBackend {
   }
   std::size_t scratch_bytes_batch(const CompiledNetwork& net, const LayerPlan& plan,
                                   int batch) const override {
-    (void)net;
-    return kernels::simd::simd_conv_scratch_bytes(plan.spec, batch);
+    const LayerPlan& src = net.plans[static_cast<std::size_t>(plan.inputs[0])];
+    return kernels::simd::simd_conv_scratch_bytes(plan.spec, src.out_chw[2], batch);
   }
 };
 
@@ -41,7 +42,8 @@ class SimdLinearBackend : public KernelBackend {
   std::size_t scratch_bytes_batch(const CompiledNetwork& net, const LayerPlan& plan,
                                   int batch) const override {
     (void)net;
-    return kernels::simd::simd_linear_scratch_bytes(plan.qweights.dim(1), batch);
+    return kernels::simd::simd_linear_scratch_bytes(plan.qweights.dim(1), plan.qweights.dim(0),
+                                                    batch);
   }
 };
 
@@ -91,6 +93,19 @@ class SimdBitSerialLinearBackend : public KernelBackend {
   kernels::BitSerialVariant variant_;
 };
 
+/// The residual add 8 lanes at a time; like the scalar add it has no
+/// cross-image work to share and runs per image.
+class SimdAddBackend : public KernelBackend {
+ public:
+  const char* name() const override { return "simd/add"; }
+  void execute_batch(const ExecContext& ctx) const override { for_each_image(ctx, run_one); }
+
+ private:
+  static void run_one(const ExecContext& ctx) {
+    kernels::simd::simd_add_q(ctx.input(0), ctx.input(1), ctx.plan.rq, *ctx.out, ctx.counter);
+  }
+};
+
 }  // namespace
 
 namespace detail {
@@ -99,6 +114,7 @@ void register_simd_backends(KernelRegistry& r) {
   if (!kernels::simd::compiled()) return;
   r.add(PlanKind::kConvBaseline, kSimdKeyOffset, std::make_unique<SimdConvBackend>());
   r.add(PlanKind::kLinearBaseline, kSimdKeyOffset, std::make_unique<SimdLinearBackend>());
+  r.add(PlanKind::kAdd, kSimdKeyOffset, std::make_unique<SimdAddBackend>());
   using kernels::BitSerialVariant;
   for (BitSerialVariant v :
        {BitSerialVariant::kNaive, BitSerialVariant::kInputReuse, BitSerialVariant::kCached,

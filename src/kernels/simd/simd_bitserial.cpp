@@ -26,6 +26,9 @@
 //    rows of F lanes, T[plane_j] << j, into per-position accumulators that
 //    are requantized at the end. The terms are the scalar kernel's terms,
 //    summed in another order, so the int32 sums are identical.
+//
+// Both dataflows hand their int32 sums to the exact vector epilogue,
+// requantize (simd_requant.cpp).
 #include "kernels/bit_unpack.h"
 #include "kernels/simd/simd_dispatch.h"
 #include "kernels/simd/simd_kernels.h"
@@ -396,11 +399,7 @@ void layer_table_conv(const QView& in, std::size_t in_stride, int batch,
   for (int b = 0; b < batch; ++b) {
     const int32_t* acc_b = acc + static_cast<std::size_t>(b) * img_acc;
     int16_t* dst = out.data + static_cast<std::size_t>(b) * out_stride;
-    for (int o = 0; o < F; ++o) {
-      for (std::size_t p = 0; p < P; ++p) {
-        dst[static_cast<std::size_t>(o) * P + p] = rq.apply(acc_b[p * F + o], o);
-      }
-    }
+    requantize(rq, 0, acc_b, static_cast<int>(P), F, dst, P);
   }
 }
 
@@ -483,12 +482,14 @@ void pool_precompute_conv(const QView& in, std::size_t in_stride, int batch_arg,
           }
         }
       }
+      // One position's F channels, stored one output plane apart. (Buffering
+      // a whole output row instead measured up to 20 us slower per stage-3
+      // conv of pooled ResNet-s in perfbench, though not in isolation.)
       for (int b = 0; b < batch; ++b) {
-        const int32_t* acc_b = acc + static_cast<std::size_t>(b) * F;
-        int16_t* dst = out.data + static_cast<std::size_t>(b) * out_stride;
-        for (int o = 0; o < F; ++o) {
-          dst[(static_cast<std::size_t>(o) * oh + oy) * ow + ox] = rq.apply(acc_b[o], o);
-        }
+        requantize(rq, 0, acc + static_cast<std::size_t>(b) * F, 1, F,
+                   out.data + static_cast<std::size_t>(b) * out_stride +
+                       static_cast<std::size_t>(oy) * ow + ox,
+                   static_cast<std::size_t>(oh) * ow);
       }
     }
   }
@@ -584,7 +585,7 @@ void simd_bitserial_linear(const QView& in, std::size_t in_stride, int batch,
   for (int b = 0; b < batch; ++b) {
     const int32_t* acc_b = acc + static_cast<std::size_t>(b) * F;
     int16_t* dst = out.data + static_cast<std::size_t>(b) * out_stride;
-    for (int o = 0; o < F; ++o) dst[static_cast<std::size_t>(o)] = rq.apply(acc_b[o], o);
+    requantize(rq, 0, acc_b, 1, F, dst, 1);
   }
   if (counter != nullptr) {
     const sim::CostCounter per_image = sim::bitserial_linear_cost(fin, M, lut, indices, variant);

@@ -7,7 +7,9 @@
 // accumulator vectors amortize each column load; within the tile the inner
 // dot product runs 16 int16 lanes per step (_mm256_madd_epi16) with a scalar
 // tail for the last K % 16 taps. Out-of-bounds taps stage 0, contributing
-// 0 * w — exactly what the scalar kernel's tap skip contributes.
+// 0 * w — exactly what the scalar kernel's tap skip contributes. The int32
+// sums of an output row (linear: of every output) land in scratch,
+// position-major, and leave through one requantize call per image.
 #include "kernels/simd/simd_dispatch.h"
 #include "kernels/simd/simd_kernels.h"
 #include "sim/layer_cost.h"
@@ -129,8 +131,12 @@ void conv2d_core(const QView& in, std::size_t in_stride, int batch_arg, const QT
   const int32_t in_zp = in.zero_point;
 
   // All N columns staged side by side; each 4-wide filter tile then sweeps
-  // the whole batch, so the weight rows are loaded once per batch.
+  // the whole batch, so the weight rows are loaded once per batch. Image b's
+  // sum for filter o at output column ox lands at sums[(b*ow + ox)*F + o].
+  const auto F = static_cast<std::size_t>(spec.out_ch);
+  const std::size_t row_sums = static_cast<std::size_t>(ow) * F;
   int16_t* cols = scratch.alloc<int16_t>(static_cast<std::size_t>(batch) * K);
+  int32_t* sums = scratch.alloc<int32_t>(static_cast<std::size_t>(batch) * row_sums);
 #if defined(BSWP_SIMD_X86)
   const bool use_avx2 = avx2_supported();
 #endif
@@ -138,6 +144,7 @@ void conv2d_core(const QView& in, std::size_t in_stride, int batch_arg, const QT
   for (int oy = 0; oy < oh; ++oy) {
     for (int ox = 0; ox < ow; ++ox) {
       for (int g = 0; g < spec.groups; ++g) {
+        int32_t* tile = sums + static_cast<std::size_t>(ox) * F + static_cast<std::size_t>(g) * og;
         for (int b = 0; b < batch; ++b) {
           stage_column(in.data + static_cast<std::size_t>(b) * in_stride, spec, g, oy, ox, h, w,
                        cg, in_zp, cols + static_cast<std::size_t>(b) * K);
@@ -148,39 +155,34 @@ void conv2d_core(const QView& in, std::size_t in_stride, int batch_arg, const QT
         if (use_avx2) {
           for (; oc + 4 <= og; oc += 4) {
             for (int b = 0; b < batch; ++b) {
-              int32_t r[4];
               dot4_avx2(cols + static_cast<std::size_t>(b) * K,
-                        wbase + static_cast<std::size_t>(oc) * wstride, wstride, K, r);
-              for (int i = 0; i < 4; ++i) {
-                const int o = g * og + oc + i;
-                out.data[static_cast<std::size_t>(b) * out_stride +
-                         (static_cast<std::size_t>(o) * oh + oy) * ow + ox] = rq.apply(r[i], o);
-              }
+                        wbase + static_cast<std::size_t>(oc) * wstride, wstride, K,
+                        tile + static_cast<std::size_t>(b) * row_sums + oc);
             }
           }
           for (; oc < og; ++oc) {
-            const int o = g * og + oc;
             for (int b = 0; b < batch; ++b) {
-              out.data[static_cast<std::size_t>(b) * out_stride +
-                       (static_cast<std::size_t>(o) * oh + oy) * ow + ox] =
-                  rq.apply(dot1_avx2(cols + static_cast<std::size_t>(b) * K,
-                                     wbase + static_cast<std::size_t>(oc) * wstride, K),
-                           o);
+              tile[static_cast<std::size_t>(b) * row_sums + oc] =
+                  dot1_avx2(cols + static_cast<std::size_t>(b) * K,
+                            wbase + static_cast<std::size_t>(oc) * wstride, K);
             }
           }
         }
 #endif
         for (; oc < og; ++oc) {
-          const int o = g * og + oc;
           for (int b = 0; b < batch; ++b) {
-            out.data[static_cast<std::size_t>(b) * out_stride +
-                     (static_cast<std::size_t>(o) * oh + oy) * ow + ox] =
-                rq.apply(dot1_portable(cols + static_cast<std::size_t>(b) * K,
-                                       wbase + static_cast<std::size_t>(oc) * wstride, K),
-                         o);
+            tile[static_cast<std::size_t>(b) * row_sums + oc] =
+                dot1_portable(cols + static_cast<std::size_t>(b) * K,
+                              wbase + static_cast<std::size_t>(oc) * wstride, K);
           }
         }
       }
+    }
+    for (int b = 0; b < batch; ++b) {
+      requantize(rq, 0, sums + static_cast<std::size_t>(b) * row_sums, ow, spec.out_ch,
+                 out.data + static_cast<std::size_t>(b) * out_stride +
+                     static_cast<std::size_t>(oy) * ow,
+                 static_cast<std::size_t>(oh) * ow);
     }
   }
   // Tally exactly batch x the scalar MCU reference events (what
@@ -220,6 +222,7 @@ void simd_linear(const QView& in, std::size_t in_stride, int batch, const QTenso
   out.zero_point = rq.out.zero_point;
 
   int16_t* cols = scratch.alloc<int16_t>(static_cast<std::size_t>(batch) * fin);
+  int32_t* sums = scratch.alloc<int32_t>(static_cast<std::size_t>(batch) * fout);
   const int32_t in_zp = in.zero_point;
   for (int b = 0; b < batch; ++b) {
     const int16_t* src = in.data + static_cast<std::size_t>(b) * in_stride;
@@ -228,6 +231,7 @@ void simd_linear(const QView& in, std::size_t in_stride, int batch, const QTenso
     for (int i = 0; i < fin; ++i) col[i] = static_cast<int16_t>(src[i] - in_zp);
   }
 
+  // Image b's sums land at sums + b*fout.
   const int16_t* wbase = weights.data.data();
   const auto wstride = static_cast<std::size_t>(fin);
   int o = 0;
@@ -235,30 +239,30 @@ void simd_linear(const QView& in, std::size_t in_stride, int batch, const QTenso
   if (avx2_supported()) {
     for (; o + 4 <= fout; o += 4) {
       for (int b = 0; b < batch; ++b) {
-        int32_t r[4];
         dot4_avx2(cols + static_cast<std::size_t>(b) * fin,
-                  wbase + static_cast<std::size_t>(o) * wstride, wstride, fin, r);
-        int16_t* dst = out.data + static_cast<std::size_t>(b) * out_stride;
-        for (int i = 0; i < 4; ++i) dst[static_cast<std::size_t>(o + i)] = rq.apply(r[i], o + i);
+                  wbase + static_cast<std::size_t>(o) * wstride, wstride, fin,
+                  sums + static_cast<std::size_t>(b) * fout + o);
       }
     }
     for (; o < fout; ++o) {
       for (int b = 0; b < batch; ++b) {
-        out.data[static_cast<std::size_t>(b) * out_stride + static_cast<std::size_t>(o)] =
-            rq.apply(dot1_avx2(cols + static_cast<std::size_t>(b) * fin,
-                               wbase + static_cast<std::size_t>(o) * wstride, fin),
-                     o);
+        sums[static_cast<std::size_t>(b) * fout + o] =
+            dot1_avx2(cols + static_cast<std::size_t>(b) * fin,
+                      wbase + static_cast<std::size_t>(o) * wstride, fin);
       }
     }
   }
 #endif
   for (; o < fout; ++o) {
     for (int b = 0; b < batch; ++b) {
-      out.data[static_cast<std::size_t>(b) * out_stride + static_cast<std::size_t>(o)] =
-          rq.apply(dot1_portable(cols + static_cast<std::size_t>(b) * fin,
-                                 wbase + static_cast<std::size_t>(o) * wstride, fin),
-                   o);
+      sums[static_cast<std::size_t>(b) * fout + o] =
+          dot1_portable(cols + static_cast<std::size_t>(b) * fin,
+                        wbase + static_cast<std::size_t>(o) * wstride, fin);
     }
+  }
+  for (int b = 0; b < batch; ++b) {
+    requantize(rq, 0, sums + static_cast<std::size_t>(b) * fout, 1, fout,
+               out.data + static_cast<std::size_t>(b) * out_stride, 1);
   }
   if (counter != nullptr) {
     const sim::CostCounter per_image = sim::baseline_linear_cost(fin, fout);
@@ -266,14 +270,18 @@ void simd_linear(const QView& in, std::size_t in_stride, int batch, const QTenso
   }
 }
 
-std::size_t simd_conv_scratch_bytes(const nn::ConvSpec& spec, int batch) {
+std::size_t simd_conv_scratch_bytes(const nn::ConvSpec& spec, int in_w, int batch) {
+  const auto n = static_cast<std::size_t>(batch);
   return ScratchArena::bytes_for<int16_t>(static_cast<std::size_t>(spec.in_ch / spec.groups) *
-                                          spec.kh * spec.kw * static_cast<std::size_t>(batch));
+                                          spec.kh * spec.kw * n) +
+         ScratchArena::bytes_for<int32_t>(static_cast<std::size_t>(spec.out_w(in_w)) *
+                                          static_cast<std::size_t>(spec.out_ch) * n);
 }
 
-std::size_t simd_linear_scratch_bytes(int in_features, int batch) {
-  return ScratchArena::bytes_for<int16_t>(static_cast<std::size_t>(in_features) *
-                                          static_cast<std::size_t>(batch));
+std::size_t simd_linear_scratch_bytes(int in_features, int out_features, int batch) {
+  const auto n = static_cast<std::size_t>(batch);
+  return ScratchArena::bytes_for<int16_t>(static_cast<std::size_t>(in_features) * n) +
+         ScratchArena::bytes_for<int32_t>(static_cast<std::size_t>(out_features) * n);
 }
 
 }  // namespace bswp::kernels::simd

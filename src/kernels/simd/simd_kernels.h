@@ -25,10 +25,14 @@
 //                                  position with M 8-lane row adds.
 //   simd_xnor_conv2d_counts        XNOR popcount over 64-bit words (pairs of
 //                                  packed 32-bit lanes fused per popcount).
+//   requantize / simd_add_q        the exact 8-lane requantization epilogue
+//                                  every conv/linear core above ends in, and
+//                                  the residual add built on it.
 //
 // Bit-identity holds because integer accumulation is associative modulo
-// 2^32 — reordering the adds cannot change the wrapped sum — and
-// requantization stays scalar per output element. Cost counters tally the
+// 2^32 — reordering the adds cannot change the wrapped sum — and the vector
+// epilogue performs Requant::apply's float operations one for one (see
+// requantize), so each output equals the scalar one. Cost counters tally the
 // *scalar MCU reference* events (merged from the closed forms in
 // sim/layer_cost.h, which tests pin to the scalar kernels event-for-event),
 // so Session::estimate_latency keeps answering "what would this cost on the
@@ -98,12 +102,38 @@ void simd_xnor_conv2d_counts(const uint32_t* in_bits, int in_ch, int h, int w,
                              const uint32_t* weight_bits, const nn::ConvSpec& spec,
                              int32_t* counts, sim::CostCounter* counter);
 
-/// Scratch bytes simd_conv2d draws for `batch` images (one im2col column
-/// per image).
-std::size_t simd_conv_scratch_bytes(const nn::ConvSpec& spec, int batch);
+/// The exact vector requantization epilogue, from position-major sums to
+/// the channel-major activation layout:
+///   out[o * out_stride + p] = rq.apply(acc[p * channels + o], ch0 + o)
+/// for p < positions, o < channels. A conv passes a row (or all) of its
+/// output positions with out_stride = out_h * out_w; a linear layer passes
+/// one position with out_stride 1. Reads rq.scale/rq.bias at exactly
+/// [ch0, ch0 + channels). The AVX2 path does apply's arithmetic 8 lanes at
+/// a time with the same IEEE operations in the same order — int32 -> float,
+/// a multiply and a separate add (no FMA), relu as max(0, real), a true
+/// divide by out.scale, saturate_for_rounding, lround as truncate plus one
+/// away from zero when |x - trunc(x)| >= 0.5, the zero point and the
+/// [qmin, qmax] clamp — and stores the low 16 bits of each lane, as apply's
+/// int16 cast does (unsigned 16-bit outputs included). Without AVX2 it is
+/// Requant::apply in a loop.
+void requantize(const Requant& rq, int ch0, const int32_t* acc, int positions, int channels,
+                int16_t* out, std::size_t out_stride);
 
-/// Scratch bytes simd_linear draws (one shifted copy of each input row).
-std::size_t simd_linear_scratch_bytes(int in_features, int batch);
+/// Residual add into `out`, byte-identical to kernels::add_q (same output
+/// metadata and CostCounter tally): each element's real value
+/// a.scale * (qa - a.zp) + b.scale * (qb - b.zp) is formed 8 lanes at a time
+/// with add_q's float operations and requantized through requantize's
+/// rounding. `out` may alias either operand's data.
+void simd_add_q(const QView& a, const QView& b, const Requant& rq, QView& out,
+                sim::CostCounter* counter);
+
+/// Scratch bytes simd_conv2d draws for `batch` images of width in_w: one
+/// im2col column and one output row of int32 sums per image.
+std::size_t simd_conv_scratch_bytes(const nn::ConvSpec& spec, int in_w, int batch);
+
+/// Scratch bytes simd_linear draws: one shifted copy of each input row and
+/// each image's int32 sums.
+std::size_t simd_linear_scratch_bytes(int in_features, int out_features, int batch);
 
 /// Scratch bytes simd_bitserial_linear draws: the batch-wide accumulator
 /// array plus the precomputed pool values (shared across images).

@@ -16,6 +16,7 @@
 // machinery prices the scalar closed form against the simd_* closed form
 // under CompileOptions::host_profile and keeps the cheaper lane (ties go to
 // scalar). kSimd is never assigned when the SIMD backends are compiled out.
+// Residual adds take the SIMD lane unpriced whenever it is allowed.
 #include <limits>
 
 #include "kernels/simd/simd_dispatch.h"
@@ -43,7 +44,15 @@ class SelectBackends : public Pass {
         case nn::Op::kInput: n.kind = PlanKind::kInput; break;
         case nn::Op::kMaxPool: n.kind = PlanKind::kMaxPool; break;
         case nn::Op::kGlobalAvgPool: n.kind = PlanKind::kGlobalAvgPool; break;
-        case nn::Op::kAdd: n.kind = PlanKind::kAdd; break;
+        case nn::Op::kAdd:
+          // The SIMD add is bit-identical and never slower, so it needs no
+          // pricing: it takes the lane wherever the family may be used.
+          n.kind = PlanKind::kAdd;
+          if (kernels::simd::available() && ctx.opt.host_lanes != HostLaneSelect::kScalar) {
+            n.lane = HostLane::kSimd;
+            ++simd_lanes;
+          }
+          break;
         case nn::Op::kFlatten: n.kind = PlanKind::kFlatten; break;
         case nn::Op::kReLU: n.kind = PlanKind::kRelu; break;
         case nn::Op::kConv2d:

@@ -1,5 +1,6 @@
 #include "runtime/serialize.h"
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -170,6 +171,52 @@ void check_conv_spec(const LayerPlan& p, const std::vector<LayerPlan>& plans) {
   }
 }
 
+/// A plan's quantization state against what the requantizing kernels read:
+/// Requant::apply and the SIMD epilogue read rq.scale/rq.bias at every
+/// output channel (8 at a time on the vector path), divide by out.scale,
+/// and shift by 1 << bits; the 2^16 zero-point limit is the one
+/// kernels::kRequantSaturation's bound is derived from.
+void check_requant(const LayerPlan& p, const std::vector<LayerPlan>& plans) {
+  const auto fail = [](const char* what) {
+    throw std::runtime_error(std::string("bswp: requant: ") + what);
+  };
+  const auto bits_ok = [](int bits) { return bits >= 1 && bits <= 16; };
+  const auto zero_point_ok = [](int zp) { return zp >= -(1 << 16) && zp <= (1 << 16); };
+  const auto scale_ok = [](float s) { return std::isfinite(s) && s > 0.0f; };
+  if (!bits_ok(p.out.bits) || !bits_ok(p.rq.out.bits)) fail("bits outside [1, 16]");
+  if (!zero_point_ok(p.out.zero_point) || !zero_point_ok(p.rq.out.zero_point)) {
+    fail("|zero_point| > 2^16");
+  }
+  if (!scale_ok(p.out.scale) || !scale_ok(p.rq.out.scale)) fail("out.scale not finite and > 0");
+  for (const std::vector<float>* v : {&p.rq.scale, &p.rq.bias}) {
+    for (float x : *v) {
+      if (!std::isfinite(x)) fail("non-finite scale or bias");
+    }
+  }
+  // The channel count each per-channel kernel requantizes.
+  int64_t channels = -1;
+  switch (p.kind) {
+    case PlanKind::kConvBaseline:
+    case PlanKind::kConvBitSerial:
+    case PlanKind::kConvBinary: channels = p.spec.out_ch; break;
+    case PlanKind::kLinearBaseline:
+      channels = p.qweights.shape.empty() ? 0 : p.qweights.shape[0];
+      break;
+    case PlanKind::kLinearBitSerial: channels = p.indices.out_ch; break;
+    case PlanKind::kGlobalAvgPool: {
+      if (p.inputs.empty()) fail("no input");
+      const std::vector<int>& in = plans[static_cast<std::size_t>(p.inputs[0])].out_chw;
+      channels = in.empty() ? 0 : in[0];
+      break;
+    }
+    default: return;
+  }
+  if (static_cast<int64_t>(p.rq.scale.size()) != channels ||
+      static_cast<int64_t>(p.rq.bias.size()) != channels) {
+    fail("scale/bias size differs from the output channels");
+  }
+}
+
 }  // namespace
 
 void save_network(const CompiledNetwork& net, std::ostream& os) {
@@ -324,6 +371,7 @@ CompiledNetwork load_network(std::istream& is) {
         p.kind == PlanKind::kConvBinary) {
       check_conv_spec(p, net.plans);
     }
+    check_requant(p, net.plans);
   }
   return net;
 }

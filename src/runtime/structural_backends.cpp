@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "kernels/common.h"
 #include "quant/quantize.h"
 #include "runtime/kernel_backend.h"
 
@@ -30,8 +31,9 @@ class InputBackend : public KernelBackend {
     out.scale = ctx.plan.out.scale;
     out.zero_point = 0;
     for (std::size_t i = 0; i < img.size(); ++i) {
-      out.data[i] = static_cast<int16_t>(
-          quant::clamp_q(static_cast<int32_t>(std::lround(img[i] / out.scale)), -128, 127));
+      out.data[i] = static_cast<int16_t>(quant::clamp_q(
+          static_cast<int32_t>(std::lround(kernels::saturate_for_rounding(img[i] / out.scale))),
+          -128, 127));
     }
   }
 };

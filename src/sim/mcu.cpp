@@ -49,7 +49,10 @@ McuProfile host_profile() {
   m.flash_bytes = static_cast<std::size_t>(1) << 40;
   m.freq_mhz = 3000.0;
   // Out-of-order core with caches: no wait-stated flash, sub-cycle
-  // loads/stores, cheap ALU; requantization stays a scalar float chain.
+  // loads/stores, cheap ALU. kRequant prices the scalar float chain of
+  // Requant::apply, which only the scalar lane still runs per output; the
+  // SIMD lane's epilogue (kernels::simd::requantize) does 8 outputs per
+  // chain and is not priced separately.
   m.event_cycles[static_cast<int>(Event::kFlashRandomByte)] = 1.0;
   m.event_cycles[static_cast<int>(Event::kFlashSeqByte)] = 0.25;
   m.event_cycles[static_cast<int>(Event::kFlashSeqWord)] = 0.5;

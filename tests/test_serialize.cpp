@@ -6,6 +6,7 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <tuple>
@@ -157,7 +158,10 @@ TEST(Serialize, RejectsStructuralCorruptions) {
   const std::size_t maxpool = first_of(PlanKind::kMaxPool);
   const std::size_t bitserial = first_of(PlanKind::kConvBitSerial);
   const std::size_t conv1 = first_of(PlanKind::kConvBaseline);
+  const std::size_t gap = first_of(PlanKind::kGlobalAvgPool);
   const std::size_t last = e.net.plans.size() - 1;
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
   const std::vector<std::pair<const char*, std::function<void(CompiledNetwork&)>>> mutations = {
       {"input past the plan list",
        [&](CompiledNetwork& n) { n.plans[last].inputs[0] = static_cast<int>(n.plans.size()); }},
@@ -202,6 +206,35 @@ TEST(Serialize, RejectsStructuralCorruptions) {
       {"conv in_ch + 1", [&](CompiledNetwork& n) { ++n.plans[bitserial].spec.in_ch; }},
       {"conv out_chw[1] + 1", [&](CompiledNetwork& n) { ++n.plans[conv1].out_chw[1]; }},
       {"conv out_chw[2] - 1", [&](CompiledNetwork& n) { --n.plans[bitserial].out_chw[2]; }},
+      // Requant state the epilogues would misread: a short vector is read
+      // past its end (8 lanes at a time on the SIMD lane), a zero or
+      // non-finite scale divides into NaN/inf, a width outside [1, 16]
+      // shifts past the int16 codes, and a zero point past 2^16 breaks the
+      // saturation bound.
+      {"conv rq.scale one short", [&](CompiledNetwork& n) { n.plans[conv1].rq.scale.pop_back(); }},
+      {"bit-serial rq.bias one long",
+       [&](CompiledNetwork& n) { n.plans[bitserial].rq.bias.push_back(0.0f); }},
+      {"linear rq.scale empty", [&](CompiledNetwork& n) { n.plans[last].rq.scale.clear(); }},
+      {"gap rq.bias one short", [&](CompiledNetwork& n) { n.plans[gap].rq.bias.pop_back(); }},
+      {"binary conv rq.scale one short",
+       [&](CompiledNetwork& n) {
+         n.plans[conv1].kind = PlanKind::kConvBinary;
+         n.plans[conv1].rq.scale.pop_back();
+       }},
+      {"rq.scale NaN", [&](CompiledNetwork& n) { n.plans[bitserial].rq.scale[0] = nan; }},
+      {"rq.bias -inf", [&](CompiledNetwork& n) { n.plans[conv1].rq.bias[1] = -inf; }},
+      {"rq.out.scale = 0", [&](CompiledNetwork& n) { n.plans[bitserial].rq.out.scale = 0.0f; }},
+      {"rq.out.scale = -1", [&](CompiledNetwork& n) { n.plans[conv1].rq.out.scale = -1.0f; }},
+      {"rq.out.scale = inf", [&](CompiledNetwork& n) { n.plans[gap].rq.out.scale = inf; }},
+      {"out.scale NaN", [&](CompiledNetwork& n) { n.plans[0].out.scale = nan; }},
+      {"rq.out.bits = 0", [&](CompiledNetwork& n) { n.plans[bitserial].rq.out.bits = 0; }},
+      {"rq.out.bits = 17", [&](CompiledNetwork& n) { n.plans[last].rq.out.bits = 17; }},
+      {"out.bits = 0", [&](CompiledNetwork& n) { n.plans[maxpool].out.bits = 0; }},
+      {"out.bits = 17", [&](CompiledNetwork& n) { n.plans[conv1].out.bits = 17; }},
+      {"rq.out.zero_point = 2^16 + 1",
+       [&](CompiledNetwork& n) { n.plans[conv1].rq.out.zero_point = (1 << 16) + 1; }},
+      {"out.zero_point = -2^16 - 1",
+       [&](CompiledNetwork& n) { n.plans[bitserial].out.zero_point = -(1 << 16) - 1; }},
   };
   for (const auto& [what, mutate] : mutations) {
     CompiledNetwork bad = e.net;
@@ -209,6 +242,15 @@ TEST(Serialize, RejectsStructuralCorruptions) {
     std::stringstream buf;
     save_network(bad, buf);
     EXPECT_THROW(load_network(buf), std::runtime_error) << what;
+  }
+  {
+    // Control for the binary mutation: the kind change alone loads, so the
+    // short vector is what the binary rule rejects.
+    CompiledNetwork ok = e.net;
+    ok.plans[conv1].kind = PlanKind::kConvBinary;
+    std::stringstream buf;
+    save_network(ok, buf);
+    EXPECT_NO_THROW(load_network(buf));
   }
 
   // Length fields: a count that runs past the end of the container is

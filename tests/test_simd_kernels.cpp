@@ -7,6 +7,7 @@
 // family is compiled out (BSWP_SIMD=OFF).
 #include <algorithm>
 #include <functional>
+#include <limits>
 #include <span>
 #include <sstream>
 
@@ -158,7 +159,7 @@ TEST(SimdKernels, ConvBitIdenticalAcrossGeometriesAndBatches) {
                                 simd::simd_conv2d(in, is, n, weights, spec, rq, out, os, scratch,
                                                   c);
                               },
-                              [&](int n) { return simd::simd_conv_scratch_bytes(spec, n); }};
+                              [&](int n) { return simd::simd_conv_scratch_bytes(spec, cc.w, n); }};
     const std::size_t out_elems =
         static_cast<std::size_t>(cc.out_ch) * spec.out_h(cc.h) * spec.out_w(cc.w);
     expect_batches_match_scalar(
@@ -190,7 +191,7 @@ TEST(SimdKernels, LinearBitIdenticalIncludingOddTailsAndBatches) {
                                   std::size_t os, ScratchArena& scratch, sim::CostCounter* c) {
                                 simd::simd_linear(in, is, n, w, rq, out, os, scratch, c);
                               },
-                              [&](int n) { return simd::simd_linear_scratch_bytes(fin, n); }};
+                              [&](int n) { return simd::simd_linear_scratch_bytes(fin, fout, n); }};
     expect_batches_match_scalar(
         proto, static_cast<std::size_t>(fout),
         [&](QTensor& x) {
@@ -439,6 +440,222 @@ TEST(SimdKernels, XnorCountsIdenticalIncludingOddWordCounts) {
 }
 
 // ---------------------------------------------------------------------------
+// The exact vector epilogue and the residual add
+// ---------------------------------------------------------------------------
+
+/// A random requantization of `channels` outputs. Scales, biases and output
+/// steps are drawn partly from small dyadic sets (so acc * scale + bias and
+/// its quotient land exactly on .5 ties), partly at random, and partly from
+/// values that overflow: huge, negative, zero and infinite scales (inf * 0
+/// is NaN), signed zeros.
+kernels::Requant random_requant(Rng& rng, int channels, int bits, bool is_signed, bool relu) {
+  constexpr float kTieScales[] = {0.5f, 0.25f, 1.0f, -0.5f, -1.0f, 2.0f};
+  constexpr float kTieBiases[] = {0.0f, -0.0f, 0.5f, -0.5f, 1.5f, -2.5f};
+  constexpr float kWild[] = {3e9f, -3e9f, 1e30f, -1e30f, 0.0f,
+                             std::numeric_limits<float>::infinity()};
+  kernels::Requant rq;
+  for (int c = 0; c < channels; ++c) {
+    const uint32_t pick = rng.uniform_int(10);
+    if (pick < 4) {
+      rq.scale.push_back(kTieScales[rng.uniform_int(6)]);
+      rq.bias.push_back(kTieBiases[rng.uniform_int(6)]);
+    } else if (pick < 9) {
+      rq.scale.push_back(static_cast<float>(rng.uniform(-5e-3, 5e-3)));
+      rq.bias.push_back(static_cast<float>(rng.uniform(-2.0, 2.0)));
+    } else {
+      rq.scale.push_back(kWild[rng.uniform_int(6)]);
+      rq.bias.push_back(kTieBiases[rng.uniform_int(6)]);
+    }
+  }
+  constexpr float kOutScales[] = {1.0f, 0.5f, 2.0f, 0.0625f};
+  rq.out.scale = rng.uniform_int(2) == 0 ? kOutScales[rng.uniform_int(4)]
+                                          : static_cast<float>(rng.uniform(1e-3, 0.1));
+  rq.out.bits = bits;
+  rq.out.is_signed = is_signed;
+  rq.out.zero_point = static_cast<int>(rng.uniform_int(9)) - 4;
+  if (rng.uniform_int(4) == 0) rq.out.zero_point = is_signed ? 0 : 1 << (bits - 1);
+  if (rng.uniform_int(8) == 0) rq.out.zero_point = rng.uniform_int(2) == 0 ? 1 << 16 : -(1 << 16);
+  rq.fuse_relu = relu;
+  return rq;
+}
+
+TEST(SimdKernels, RequantizeEqualsApplyBitForBit) {
+  // Position-major sums acc[p*F + o] into channel-major codes
+  // out[o*stride + p], in the shapes the cores pass: a whole layer-table
+  // plane (F and P not multiples of 8, so 8x8 transpose blocks, leftover
+  // positions and the staged channel tail all run), one conv output row
+  // inside a wider plane (the gap must stay untouched), and a linear layer's
+  // single position.
+  struct Shape {
+    int F, P;
+    std::size_t stride;
+  };
+  const Shape shapes[] = {{13, 21, 21}, {16, 5, 9}, {11, 1, 1}, {8, 16, 16}};
+  constexpr int16_t kSentinel = 0x5555;
+  Rng rng(61);
+  int trials = 0;
+  for (const Shape& sh : shapes) {
+    for (int bits = 1; bits <= 16; ++bits) {
+      for (bool is_signed : {false, true}) {
+        for (bool relu : {false, true}) {
+          for (int rep = 0; rep < 3; ++rep, ++trials) {
+            const kernels::Requant rq = random_requant(rng, sh.F, bits, is_signed, relu);
+            std::vector<int32_t> acc(static_cast<std::size_t>(sh.P) * sh.F);
+            for (auto& a : acc) {
+              const uint64_t pick = rng.uniform_int(8);
+              a = pick == 0   ? std::numeric_limits<int32_t>::min()
+                  : pick == 1 ? std::numeric_limits<int32_t>::max()
+                  : pick < 5  ? static_cast<int32_t>(rng.uniform_int(41)) - 20
+                              : static_cast<int32_t>(rng.uniform_int(0xffffffffu));
+            }
+            const std::size_t len = static_cast<std::size_t>(sh.F) * sh.stride;
+            std::vector<int16_t> want(len, kSentinel), got(len, kSentinel);
+            for (int o = 0; o < sh.F; ++o) {
+              for (int p = 0; p < sh.P; ++p) {
+                want[static_cast<std::size_t>(o) * sh.stride + p] =
+                    rq.apply(acc[static_cast<std::size_t>(p) * sh.F + o], o);
+              }
+            }
+            simd::requantize(rq, 0, acc.data(), sh.P, sh.F, got.data(), sh.stride);
+            ASSERT_EQ(want, got) << "F " << sh.F << " P " << sh.P << " bits " << bits
+                                 << (is_signed ? " signed" : " unsigned")
+                                 << (relu ? " relu" : "") << " rep " << rep;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(trials, 4 * 16 * 2 * 2 * 3);
+  // A channel offset reads scale and bias from ch0 on.
+  kernels::Requant rq = random_requant(rng, 24, 8, false, false);
+  std::vector<int32_t> acc(16 * 8);
+  for (auto& a : acc) a = static_cast<int32_t>(rng.uniform_int(2001)) - 1000;
+  std::vector<int16_t> got(8 * 16);
+  simd::requantize(rq, 16, acc.data(), 16, 8, got.data(), 16);
+  for (int o = 0; o < 8; ++o) {
+    for (int p = 0; p < 16; ++p) {
+      EXPECT_EQ(got[static_cast<std::size_t>(o) * 16 + p],
+                rq.apply(acc[static_cast<std::size_t>(p) * 8 + o], 16 + o));
+    }
+  }
+}
+
+TEST(SimdKernels, RequantSaturatesInsteadOfWrapping) {
+  // x = real / out.scale at or past 2^31 used to wrap through int32 (an
+  // unsigned 8-bit output read 0 for x = 3e9); every requantizing path now
+  // pins it to qmin / qmax.
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const auto& [bits, is_signed] : {std::pair{8, false}, {8, true}, {16, false}, {4, true}}) {
+    kernels::Requant rq = kernels::Requant::uniform(1, 1.0f, {}, 1.0f, bits, is_signed, false);
+    for (float x : {3e9f, -3e9f, 1e30f, -1e30f, inf, -inf}) {
+      const int32_t want = x > 0 ? rq.qmax() : rq.qmin();
+      const std::string at = "x " + std::to_string(x) + " bits " + std::to_string(bits) +
+                             (is_signed ? " signed" : " unsigned");
+      // Requant::apply and the vector epilogue: acc = 1, scale = x.
+      rq.scale[0] = x;
+      int16_t got = 0;
+      const int32_t one = 1;
+      simd::requantize(rq, 0, &one, 1, 1, &got, 1);
+      EXPECT_EQ(static_cast<int16_t>(want), rq.apply(1, 0)) << at;
+      EXPECT_EQ(static_cast<int16_t>(want), got) << at;
+      // add_q and the SIMD add: a = x * 1 + 0 * 0 (9 elements: one vector
+      // and a staged tail).
+      QTensor a({1, 9}, 8, true), b({1, 9}, 8, true);
+      std::fill(a.data.begin(), a.data.end(), int16_t{1});
+      a.scale = x;
+      for (bool vector_add : {false, true}) {
+        QTensor out({1, 9}, bits, is_signed);
+        QView ov = QView::of(out);
+        if (vector_add) {
+          simd::simd_add_q(QView::of(a), QView::of(b), rq, ov, nullptr);
+        } else {
+          kernels::add_q(QView::of(a), QView::of(b), rq, ov, nullptr);
+        }
+        for (int16_t v : out.data) EXPECT_EQ(static_cast<int16_t>(want), v) << at;
+      }
+    }
+  }
+}
+
+/// One add plan over two producer plans of the given shape, enough of a
+/// CompiledNetwork for an add backend's ExecContext.
+runtime::CompiledNetwork add_network(const std::vector<int>& chw, const kernels::Requant& rq) {
+  runtime::CompiledNetwork net;
+  net.plans.resize(3);
+  for (runtime::LayerPlan& p : net.plans) p.out_chw = chw;
+  net.plans[2].kind = runtime::PlanKind::kAdd;
+  net.plans[2].inputs = {0, 1};
+  net.plans[2].rq = rq;
+  return net;
+}
+
+TEST(SimdKernels, AddEqualsAddQInPlaceAndBatched) {
+  // Both registered add backends run the same batch: the scalar one into its
+  // own slot, the SIMD one into a fresh slot and in place over either
+  // operand (the memory planner aliases the output with a dying operand).
+  const runtime::KernelRegistry& reg = runtime::KernelRegistry::instance();
+  const runtime::KernelBackend& scalar = reg.resolve(runtime::PlanKind::kAdd, runtime::kAnyVariant);
+  const runtime::KernelBackend& vec = reg.resolve(runtime::PlanKind::kAdd, runtime::kSimdKeyOffset);
+  Rng rng(71);
+  const std::vector<int> shapes[] = {{8, 16, 16}, {3, 5, 7}, {1, 1, 5}};
+  for (const std::vector<int>& chw : shapes) {
+    for (int batch : {1, 3, 9}) {
+      for (bool relu : {false, true}) {
+        const int bits = relu ? 4 : 8;
+        kernels::Requant rq = kernels::Requant::uniform(
+            1, 1.0f, {}, static_cast<float>(rng.uniform(0.03, 0.08)), bits, false, relu);
+        rq.out.zero_point = relu ? 0 : 1 << (bits - 1);
+        const runtime::CompiledNetwork net = add_network(chw, rq);
+        const std::size_t elems = net.plans[2].out_elems();
+        const std::size_t total = elems * static_cast<std::size_t>(batch);
+        std::vector<int16_t> a(total), b(total);
+        for (auto& v : a) v = static_cast<int16_t>(rng.uniform_int(16));
+        for (auto& v : b) v = static_cast<int16_t>(rng.uniform_int(256));
+        QView va, vb;
+        va.set_shape({1, chw[0], chw[1], chw[2]});
+        vb = va;
+        va.scale = 0.05f;
+        va.bits = 4;
+        va.is_signed = false;
+        vb.scale = 0.011f;
+        vb.zero_point = 128;
+        vb.is_signed = false;
+        const auto run = [&](const runtime::KernelBackend& backend, std::vector<int16_t>& a_buf,
+                             std::vector<int16_t>& b_buf, int16_t* out_data,
+                             sim::CostCounter* counter) {
+          QView ia = va, ib = vb, out;
+          ia.data = a_buf.data();
+          ib.data = b_buf.data();
+          out.data = out_data;
+          const QView* ins[] = {&ia, &ib};
+          ScratchArena scratch(0);
+          runtime::ExecContext ctx{net, net.plans[2], nullptr, ins, 2, &out, &scratch, counter,
+                                   batch};
+          backend.execute_batch(ctx);
+          EXPECT_EQ(out.bits, rq.out.bits);
+          EXPECT_EQ(out.zero_point, rq.out.zero_point);
+          EXPECT_EQ(out.len, elems);
+        };
+        std::vector<int16_t> want(total);
+        sim::CostCounter want_counter, got_counter;
+        run(scalar, a, b, want.data(), &want_counter);
+        std::vector<int16_t> fresh(total);
+        run(vec, a, b, fresh.data(), &got_counter);
+        const std::string at = "chw " + std::to_string(chw[0]) + "x" + std::to_string(chw[1]) + "x" +
+                               std::to_string(chw[2]) + " batch " + std::to_string(batch);
+        EXPECT_EQ(want, fresh) << at;
+        expect_counters_equal(want_counter, got_counter, at);
+        std::vector<int16_t> over_a = a, over_b = b;
+        run(vec, over_a, b, over_a.data(), nullptr);
+        EXPECT_EQ(want, over_a) << at << " in place over a";
+        run(vec, a, over_b, over_b.data(), nullptr);
+        EXPECT_EQ(want, over_b) << at << " in place over b";
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Registry keying and fallback
 // ---------------------------------------------------------------------------
 
@@ -456,6 +673,7 @@ TEST(SimdKernels, RegistryResolvesSimdKeysAndFallsBack) {
     EXPECT_STREQ(vec->name(), "simd/conv");
     EXPECT_STREQ(reg.find(PlanKind::kLinearBaseline, kSimdKeyOffset)->name(), "simd/linear");
     EXPECT_STREQ(reg.find(PlanKind::kConvBinary, kSimdKeyOffset)->name(), "simd/xnor-conv");
+    EXPECT_STREQ(reg.find(PlanKind::kAdd, kSimdKeyOffset)->name(), "simd/add");
     for (BitSerialVariant v : kAllVariants) {
       const int key = kSimdKeyOffset + static_cast<int>(v);
       EXPECT_STREQ(reg.find(PlanKind::kConvBitSerial, key)->name(), "simd/bitserial-conv");
@@ -565,7 +783,8 @@ TEST(SimdKernels, ForcedLanesStampEveryComputePlan) {
     const bool compute = p.kind == runtime::PlanKind::kConvBaseline ||
                          p.kind == runtime::PlanKind::kLinearBaseline ||
                          p.kind == runtime::PlanKind::kConvBitSerial ||
-                         p.kind == runtime::PlanKind::kLinearBitSerial;
+                         p.kind == runtime::PlanKind::kLinearBitSerial ||
+                         p.kind == runtime::PlanKind::kAdd;
     if (compute && simd::available()) {
       EXPECT_EQ(p.lane, runtime::HostLane::kSimd) << p.name;
     } else {
@@ -605,20 +824,14 @@ TEST(SimdKernels, CostModelLaneChoicesAreArgminAndReported) {
   }
 }
 
-TEST(SimdKernels, CostModelMovesStageOneBitSerialConvsToTheLayerTable) {
-  // Pooled ResNet-s at the deployment geometry (width 0.5, 16x16, S = 64,
-  // G = 8): the stage-1 convs (8 -> 8 filters, below the precompute line)
-  // qualify for the layer table, and the lane argmin must price that path
-  // onto the SIMD lane at both ends of the bitwidth range.
+/// Pooled ResNet-s at the deployment geometry (width 0.5, 16x16, S = 64,
+/// G = 8), BatchNorm statistics seeded and calibrated on `cal`.
+Deployment resnet_s_deployment(const data::Dataset& cal) {
   models::ModelOptions mo;
   mo.image_size = 16;
   mo.width = 0.5f;
   mo.num_classes = 10;
   mo.in_channels = 3;
-  data::SyntheticCifarOptions o;
-  o.train_size = 48;
-  o.image_size = 16;
-  data::SyntheticCifar cal(o, true);
   nn::Graph g = models::build_resnet_s(mo);
   Rng rng(7);
   g.init_weights(rng);
@@ -630,7 +843,23 @@ TEST(SimdKernels, CostModelMovesStageOneBitSerialConvsToTheLayerTable) {
   co.max_cluster_vectors = 3000;
   quant::CalibrateOptions qo;
   qo.num_samples = 24;
-  Deployment dep = Deployment::from(g).with_pool(co).calibrate(cal, qo);
+  return Deployment::from(g).with_pool(co).calibrate(cal, qo);
+}
+
+data::SyntheticCifarOptions resnet_s_data() {
+  data::SyntheticCifarOptions o;
+  o.train_size = 64;
+  o.image_size = 16;
+  return o;
+}
+
+TEST(SimdKernels, CostModelMovesStageOneBitSerialConvsToTheLayerTable) {
+  // Pooled ResNet-s at the deployment geometry: the stage-1 convs (8 -> 8
+  // filters, below the precompute line) qualify for the layer table, and
+  // the lane argmin must price that path onto the SIMD lane at both ends of
+  // the bitwidth range.
+  data::SyntheticCifar cal(resnet_s_data(), true);
+  Deployment dep = resnet_s_deployment(cal);
   for (int bits : {4, 8}) {
     Session s = dep.act_bits(bits).host_lanes(runtime::HostLaneSelect::kCostModel).compile();
     const runtime::CompiledNetwork& net = s.network();
@@ -658,6 +887,77 @@ TEST(SimdKernels, CostModelMovesStageOneBitSerialConvsToTheLayerTable) {
       EXPECT_TRUE(reported) << p.name;
     }
     EXPECT_EQ(stage_one, 4) << "bits " << bits;
+  }
+}
+
+TEST(SimdKernels, ResnetSLanesIdenticalWithPerChannelRequant) {
+  // Folded BatchNorm gives the ResNet-s convs distinct per-channel scales
+  // and biases, so every SIMD epilogue (layer table, pool precompute, int8
+  // conv/linear) and the SIMD add run on non-uniform requantization here.
+  data::SyntheticCifar cal(resnet_s_data(), true);
+  Deployment dep = resnet_s_deployment(cal);
+  std::vector<Tensor> images;
+  for (int i = 0; i < 64; ++i) {
+    Tensor x({1, 3, 16, 16});
+    cal.sample(i, x.data());
+    images.push_back(std::move(x));
+  }
+  const auto varies = [](const std::vector<float>& v) {
+    return std::adjacent_find(v.begin(), v.end(), std::not_equal_to<>()) != v.end();
+  };
+  for (int bits : {4, 8}) {
+    Session scalar = dep.act_bits(bits).host_lanes(runtime::HostLaneSelect::kScalar).compile();
+    int convs = 0, adds = 0;
+    for (const runtime::LayerPlan& p : scalar.network().plans) {
+      if (p.kind == runtime::PlanKind::kConvBaseline ||
+          p.kind == runtime::PlanKind::kConvBitSerial) {
+        ++convs;
+        EXPECT_TRUE(varies(p.rq.scale) && varies(p.rq.bias)) << p.name;
+      }
+      if (p.kind == runtime::PlanKind::kAdd) ++adds;
+    }
+    EXPECT_EQ(convs, 15) << "bits " << bits;
+    EXPECT_EQ(adds, 6) << "bits " << bits;
+    for (runtime::HostLaneSelect lanes :
+         {runtime::HostLaneSelect::kSimd, runtime::HostLaneSelect::kCostModel}) {
+      Session vec = dep.host_lanes(lanes).compile();
+      for (int batch : {1, 64}) {
+        runtime::Executor ref(scalar.network(), batch), got(vec.network(), batch);
+        const std::span<const Tensor> in(images.data(), static_cast<std::size_t>(batch));
+        const std::vector<QTensor> want = ref.run_batch(in), have = got.run_batch(in);
+        ASSERT_EQ(want.size(), have.size());
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          EXPECT_EQ(want[i].data, have[i].data)
+              << "bits " << bits << " batch " << batch << " image " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdKernels, AddPlansResolveToTheSimdAdd) {
+  // Lowering stamps residual adds onto the SIMD lane under the conv lanes'
+  // condition; HostLaneSelect::kScalar and a build without the family keep
+  // the scalar reference add.
+  data::SyntheticCifar cal(resnet_s_data(), true);
+  Deployment dep = resnet_s_deployment(cal);
+  const runtime::KernelRegistry& reg = runtime::KernelRegistry::instance();
+  for (runtime::HostLaneSelect lanes :
+       {runtime::HostLaneSelect::kCostModel, runtime::HostLaneSelect::kSimd,
+        runtime::HostLaneSelect::kScalar}) {
+    Session s = dep.act_bits(4).host_lanes(lanes).compile();
+    const bool simd_add = simd::available() && lanes != runtime::HostLaneSelect::kScalar;
+    int adds = 0;
+    for (const runtime::LayerPlan& p : s.network().plans) {
+      if (p.kind != runtime::PlanKind::kAdd) continue;
+      ++adds;
+      EXPECT_EQ(p.lane, simd_add ? runtime::HostLane::kSimd : runtime::HostLane::kScalar)
+          << p.name;
+      EXPECT_STREQ(reg.resolve(p.kind, runtime::backend_variant_key(p)).name(),
+                   simd_add ? "simd/add" : "baseline/add")
+          << p.name;
+    }
+    EXPECT_EQ(adds, 6);
   }
 }
 
